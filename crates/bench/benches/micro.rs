@@ -1,5 +1,6 @@
-//! Kernel ablations (DESIGN.md §7): intersection strategy, edge
-//! membership, pair-key hashing, and triangle enumeration.
+//! Kernel ablations (docs/ARCHITECTURE.md, "Key data-structure
+//! decisions"): intersection strategy, edge membership, pair-key
+//! hashing, and triangle enumeration.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use egobtw_graph::intersect::{

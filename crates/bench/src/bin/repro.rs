@@ -1,6 +1,6 @@
 //! Experiment reproduction driver: one subcommand per table/figure of the
 //! paper's evaluation (Section VI). Prints the same rows/series the paper
-//! reports, on the synthetic dataset stand-ins (DESIGN.md §5).
+//! reports, on the synthetic dataset stand-ins (`egobtw_bench::standins`).
 //!
 //! ```text
 //! cargo run --release -p egobtw-bench --bin repro -- <command> [--scale S] [--k K]
@@ -19,7 +19,7 @@
 //! ```
 //!
 //! `--scale` multiplies dataset sizes (default 1.0; use 0.1–0.3 for a
-//! quick pass). Measured outputs are recorded in EXPERIMENTS.md.
+//! quick pass).
 
 use egobtw_baseline::{overlap_fraction, top_bw};
 use egobtw_bench::{case_study, ms, print_table, standins, time, Dataset};
@@ -443,7 +443,7 @@ fn exp7(scale: f64) {
 // ------------------------------------------------------------ ablations
 
 fn ablate(scale: f64) {
-    banner("Ablations: design choices (DESIGN.md §7)");
+    banner("Ablations: design choices (docs/ARCHITECTURE.md)");
     let d = standins(scale)
         .into_iter()
         .find(|d| d.name == "dblp-like")

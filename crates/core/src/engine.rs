@@ -1,7 +1,7 @@
 //! The shared triangle-driven engine behind Algorithms 1–3.
 //!
-//! All three algorithms reduce to one primitive: *process a triangle*
-//! (see DESIGN.md §3). Processing triangle `{a,b,c}`:
+//! All three algorithms reduce to one primitive: *process a triangle*.
+//! Processing triangle `{a,b,c}`:
 //!
 //! 1. writes the three edge entries (`S_a(b,c) = S_b(a,c) = S_c(a,b) = 0`);
 //! 2. for each triangle edge `(p,q)` with third corner `t`, pairs `t`

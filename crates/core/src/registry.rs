@@ -31,26 +31,13 @@ use crate::stats::SearchStats;
 use crate::topk::TopkResult;
 use egobtw_graph::{CsrGraph, HybridConfig, Relabeling, VertexId};
 
-/// Uniform engine signature: graph in, ranked `(vertex, CB)` entries out —
-/// unless the token cancels the run first.
+/// Uniform engine signature: graph in, ranked `(vertex, CB)` entries plus
+/// the run's work counters out (a [`TopkResult`]) — unless the token
+/// cancels the run first. Search engines report the paper's Table II
+/// metric (exact computations) for the serving layer's telemetry; engines
+/// with no such counter report [`SearchStats::default`].
 pub type EngineFn =
-    Box<dyn Fn(&CsrGraph, usize, &Cancel) -> Result<Vec<(VertexId, f64)>, Cancelled> + Send + Sync>;
-
-/// Engine signature that also reports work counters: entries plus the
-/// run's [`crate::SearchStats`], bundled as a [`TopkResult`]. Engines
-/// registered through this shape surface the paper's Table II metric
-/// (exact computations) to callers that want it — the serving layer's
-/// telemetry — while [`RegisteredEngine::topk_cancellable`] keeps
-/// returning bare entries for harnesses that don't.
-pub type StatsEngineFn =
     Box<dyn Fn(&CsrGraph, usize, &Cancel) -> Result<TopkResult, Cancelled> + Send + Sync>;
-
-enum EngineImpl {
-    /// Entries only; work counters default to zero.
-    Plain(EngineFn),
-    /// Entries plus honest work counters.
-    WithStats(StatsEngineFn),
-}
 
 /// What an engine promises about its output — the conformance layer picks
 /// its comparator from this tag.
@@ -72,7 +59,7 @@ pub enum EngineKind {
 pub struct RegisteredEngine {
     name: String,
     kind: EngineKind,
-    run: EngineImpl,
+    run: EngineFn,
 }
 
 impl RegisteredEngine {
@@ -81,7 +68,7 @@ impl RegisteredEngine {
         RegisteredEngine {
             name: name.into(),
             kind: EngineKind::Exact,
-            run: EngineImpl::Plain(run),
+            run,
         }
     }
 
@@ -90,17 +77,7 @@ impl RegisteredEngine {
         RegisteredEngine {
             name: name.into(),
             kind,
-            run: EngineImpl::Plain(run),
-        }
-    }
-
-    /// Wraps a stats-reporting closure under a stable engine name (an
-    /// exact engine that also surfaces its work counters).
-    pub fn new_with_stats(name: impl Into<String>, run: StatsEngineFn) -> Self {
-        RegisteredEngine {
-            name: name.into(),
-            kind: EngineKind::Exact,
-            run: EngineImpl::WithStats(run),
+            run,
         }
     }
 
@@ -130,28 +107,18 @@ impl RegisteredEngine {
         k: usize,
         cancel: &Cancel,
     ) -> Result<Vec<(VertexId, f64)>, Cancelled> {
-        match &self.run {
-            EngineImpl::Plain(run) => run(g, k, cancel),
-            EngineImpl::WithStats(run) => Ok(run(g, k, cancel)?.entries),
-        }
+        Ok((self.run)(g, k, cancel)?.entries)
     }
 
-    /// [`RegisteredEngine::topk_cancellable`] keeping the work counters:
-    /// engines registered with [`RegisteredEngine::new_with_stats`]
-    /// report their real [`SearchStats`]; plain engines report zeros.
+    /// [`RegisteredEngine::topk_cancellable`] keeping the run's work
+    /// counters.
     pub fn topk_with_stats_cancellable(
         &self,
         g: &CsrGraph,
         k: usize,
         cancel: &Cancel,
     ) -> Result<TopkResult, Cancelled> {
-        match &self.run {
-            EngineImpl::Plain(run) => Ok(TopkResult {
-                entries: run(g, k, cancel)?,
-                stats: SearchStats::default(),
-            }),
-            EngineImpl::WithStats(run) => run(g, k, cancel),
-        }
+        (self.run)(g, k, cancel)
     }
 }
 
@@ -175,6 +142,14 @@ pub fn topk_from_scores(scores: &[f64], k: usize) -> Vec<(VertexId, f64)> {
     v.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     v.truncate(k);
     v
+}
+
+/// An engine result with no work counters to report.
+fn uncounted(entries: Vec<(VertexId, f64)>) -> TopkResult {
+    TopkResult {
+        entries,
+        stats: SearchStats::default(),
+    }
 }
 
 /// Every engine implemented in this crate, under its stable name:
@@ -202,13 +177,13 @@ pub fn builtin_engines() -> Vec<RegisteredEngine> {
         RegisteredEngine::new(
             "core::naive",
             Box::new(|g: &CsrGraph, k, cancel: &Cancel| {
-                Ok(topk_from_scores(
+                Ok(uncounted(topk_from_scores(
                     &compute_all_naive_cancellable(g, cancel)?,
                     k,
-                ))
+                )))
             }) as EngineFn,
         ),
-        RegisteredEngine::new_with_stats(
+        RegisteredEngine::new(
             "core::compute_all",
             Box::new(|g: &CsrGraph, k, cancel: &Cancel| {
                 let (scores, stats) = compute_all_cancellable(g, cancel)?;
@@ -216,27 +191,27 @@ pub fn builtin_engines() -> Vec<RegisteredEngine> {
                     entries: topk_from_scores(&scores, k),
                     stats,
                 })
-            }) as StatsEngineFn,
+            }) as EngineFn,
         ),
-        RegisteredEngine::new_with_stats(
+        RegisteredEngine::new(
             "core::base_search",
             // BaseBSearch's frozen-bound sweep has no natural mid-run
             // checkpoint; it honors cancellation at entry only.
             Box::new(|g: &CsrGraph, k, cancel: &Cancel| {
                 cancel.check()?;
                 Ok(base_bsearch(g, k))
-            }) as StatsEngineFn,
+            }) as EngineFn,
         ),
     ];
     for theta in [1.0, 1.05, 2.0] {
-        engines.push(RegisteredEngine::new_with_stats(
+        engines.push(RegisteredEngine::new(
             format!("core::opt_search(θ={theta:.2})"),
             Box::new(move |g: &CsrGraph, k, cancel: &Cancel| {
                 opt_bsearch_cancellable(g, k, OptParams { theta }, cancel)
-            }) as StatsEngineFn,
+            }) as EngineFn,
         ));
     }
-    engines.push(RegisteredEngine::new_with_stats(
+    engines.push(RegisteredEngine::new(
         "core::compute_all(degree-relabel)",
         Box::new(|g: &CsrGraph, k, cancel: &Cancel| {
             let relab = Relabeling::degree_descending(g);
@@ -246,19 +221,20 @@ pub fn builtin_engines() -> Vec<RegisteredEngine> {
                 entries: topk_from_scores(&relab.restore_scores(&scores), k),
                 stats,
             })
-        }) as StatsEngineFn,
+        }) as EngineFn,
     ));
     engines.push(RegisteredEngine::new(
         "core::compute_all(bitmap-dense)",
         Box::new(|g: &CsrGraph, k, cancel: &Cancel| {
             let dense = g.with_hybrid_config(&HybridConfig::dense());
-            Ok(topk_from_scores(
-                &compute_all_cancellable(&dense, cancel)?.0,
-                k,
-            ))
+            let (scores, stats) = compute_all_cancellable(&dense, cancel)?;
+            Ok(TopkResult {
+                entries: topk_from_scores(&scores, k),
+                stats,
+            })
         }) as EngineFn,
     ));
-    engines.push(RegisteredEngine::new_with_stats(
+    engines.push(RegisteredEngine::new(
         "core::opt_search(θ=1.05, degree-relabel)",
         Box::new(|g: &CsrGraph, k, cancel: &Cancel| {
             let relab = Relabeling::degree_descending(g);
@@ -268,7 +244,7 @@ pub fn builtin_engines() -> Vec<RegisteredEngine> {
                 entries: relab.restore_topk(result.entries),
                 stats: result.stats,
             })
-        }) as StatsEngineFn,
+        }) as EngineFn,
     ));
     for (tag, strategy) in [
         ("uniform", SamplingStrategy::Uniform),
@@ -288,7 +264,9 @@ pub fn builtin_engines() -> Vec<RegisteredEngine> {
                 delta: params.delta,
             },
             Box::new(move |g: &CsrGraph, k, cancel: &Cancel| {
-                Ok(approx_topk_cancellable(g, k, &params, cancel)?.topk_entries())
+                Ok(uncounted(
+                    approx_topk_cancellable(g, k, &params, cancel)?.topk_entries(),
+                ))
             }) as EngineFn,
         ));
     }
@@ -347,8 +325,8 @@ mod tests {
                 .topk_with_stats_cancellable(&g, 5, &Cancel::never())
                 .unwrap();
             assert_eq!(plain, with_stats.entries, "{}", e.name());
-            // The search engines must report honest work counters; plain
-            // registrations legitimately report zeros.
+            // The search engines must report honest work counters; the
+            // naive and sampling engines legitimately report zeros.
             if e.name().starts_with("core::opt_search") || e.name() == "core::base_search" {
                 assert!(
                     with_stats.stats.exact_computations > 0,

@@ -12,7 +12,7 @@
 //! `CB[w] = Σ contributions` is maintained as a running total — the
 //! Lemma 4–7 deltas fall out automatically instead of being transcribed
 //! case by case (the transcription in the paper's own Example 6 has two
-//! sign errors; see DESIGN.md §4).
+//! sign errors; see the errata in `egobtw_gen::toy`).
 
 use egobtw_core::smap::SMapStore;
 use egobtw_graph::{CsrGraph, DynGraph, VertexId};
@@ -407,7 +407,7 @@ mod tests {
     #[test]
     fn paper_example6_delete_cg_corrected() {
         // Corrected values (paper's own Example 6 contradicts Lemmas 6–7;
-        // see DESIGN.md §4): CB(c)=14/3, CB(g)=1/2, CB(e)=13/2.
+        // see `egobtw_gen::toy`): CB(c)=14/3, CB(g)=1/2, CB(e)=13/2.
         let g = toy::paper_graph();
         let mut idx = LocalIndex::new(&g);
         assert!(idx.delete_edge(toy::ids::C, toy::ids::G));

@@ -3,7 +3,8 @@
 //! The paper evaluates on five SNAP datasets that are unavailable offline;
 //! these generators produce deterministic stand-ins that preserve the three
 //! structural axes the algorithms are sensitive to (degree skew, triangle
-//! density, community structure) — see DESIGN.md §5 for the mapping.
+//! density, community structure) — `egobtw_bench::standins` maps each
+//! SNAP dataset to its stand-in.
 //!
 //! All generators take an explicit `seed` and are fully deterministic: the
 //! same `(parameters, seed)` always yields the same graph, so experiment

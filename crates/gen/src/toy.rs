@@ -1,7 +1,7 @@
 //! The paper's Fig. 1 running example, reconstructed exactly.
 //!
 //! The paper never lists the edge set, but the worked examples pin it down
-//! uniquely (see DESIGN.md §4). This module hardcodes that reconstruction
+//! uniquely. This module hardcodes that reconstruction
 //! together with every ego-betweenness value the paper states, so the whole
 //! stack can be golden-tested against the authors' own numbers:
 //!
@@ -13,7 +13,7 @@
 //! * Example 6's post-delete values for `g` (`CB(g)=0.5`). The paper's
 //!   claims for `c` and `e` after deleting `(c,g)` contradict its own
 //!   Lemmas 6–7; the corrected values (`14/3` and `13/2`) are recorded
-//!   here — see DESIGN.md §4 ("paper errata").
+//!   here instead (paper errata).
 //!
 //! Vertex ids are assigned so the paper's tie-break ("larger id first"
 //! among equal degrees) reproduces the exact processing order of Fig. 2.

@@ -3,7 +3,7 @@
 //!
 //! Each [`Dataset`] is split into a writer side and a reader side:
 //!
-//! * the **writer** — a dynamic maintainer ([`LocalIndex`] or
+//! * the **writer** — a dynamic maintainer ([`DeltaIndex`] or
 //!   [`LazyTopK`]) behind a `Mutex`, owning the mutable graph. Update
 //!   batches go through the maintainer's incremental path, then a fresh
 //!   immutable CSR snapshot is built and published;
@@ -35,21 +35,19 @@
 //! is published to readers, so no client ever observes an epoch that a
 //! restart could lose.
 //!
-//! The three maintainer modes trade differently, which is the point of
-//! the paper's Algorithm 5 vs 6 in a serving context: [`Mode::Local`]
-//! keeps every score exact (any `k` is served straight from the index);
-//! [`Mode::Lazy`] defers recomputation, so a snapshot published after
-//! deletes may carry no exact maintained top-k — the service then decides
-//! *when* to pay the refresh via [`Dataset::refresh_maintained`]
-//! ([`LazyTopK::peek_top_k`] tells it whether the cost is due at all);
-//! [`Mode::Delta`] keeps every score exact like `local` but re-certifies
-//! the top-k incrementally per op, so publishing costs O(k log k) instead
-//! of a full O(n log n) sort — the cheapest writer under update-heavy
-//! load at small k.
+//! The two maintainer modes trade differently, which is the point of the
+//! paper's exact (Algorithms 4–5) vs lazy (Algorithm 6) updates in a
+//! serving context: [`Mode::Delta`] keeps every score exact and
+//! re-certifies the top-k incrementally per op, so every snapshot
+//! publishes exact entries at O(k log k); [`Mode::Lazy`] defers
+//! recomputation, so a snapshot published after deletes may carry no
+//! exact maintained top-k — the service then decides *when* to pay the
+//! refresh via [`Dataset::refresh_maintained`] ([`LazyTopK::peek_top_k`]
+//! tells it whether the cost is due at all).
 
 use crate::wal::{self, crash, PersistConfig, Wal, WalMetrics, WalRecord, WAL_FILE};
 use egobtw_core::registry::topk_from_scores;
-use egobtw_dynamic::{DeltaIndex, EdgeOp, LazyTopK, LocalIndex};
+use egobtw_dynamic::{DeltaIndex, EdgeOp, LazyTopK};
 use egobtw_graph::io::fnv1a64;
 use egobtw_graph::{CsrGraph, FxHashMap, VertexId};
 use egobtw_telemetry::{Counter, Gauge, Registry};
@@ -60,20 +58,14 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 
-/// How many maintained entries a [`Mode::Local`] dataset publishes into
-/// each snapshot (requests with `k` at most this are answered without
-/// touching an engine or the writer lock).
+/// The `k` a dataset maintains when `LOAD` names no mode: [`Mode::default`]
+/// is `delta:DEFAULT_PUBLISH_K`, so requests with `k` at most this are
+/// answered without touching an engine or the writer lock.
 pub const DEFAULT_PUBLISH_K: usize = 64;
 
 /// Maintainer choice for a dataset.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mode {
-    /// Exact local updates (Algorithm 5): all scores maintained; each
-    /// snapshot publishes the top-`publish_k` entries.
-    Local {
-        /// How many entries each snapshot publishes.
-        publish_k: usize,
-    },
     /// Lazy maintenance (Algorithm 6) at a fixed `k`: snapshots publish
     /// exact entries only when the maintained set happens to be fully
     /// fresh; otherwise the refresh cost is deferred to the first reader
@@ -82,10 +74,10 @@ pub enum Mode {
         /// The maintained `k`.
         k: usize,
     },
-    /// Delta maintenance at a fixed `k`: per-pair contribution patching
-    /// with an incrementally re-certified top-k heap. Every snapshot
-    /// publishes exact entries (like `local`) but without re-sorting all
-    /// `n` scores on each batch.
+    /// Exact delta maintenance at a fixed `k`: every score is kept exact
+    /// by per-pair contribution patching, and the top-k heap is
+    /// re-certified per op, so every snapshot publishes exact entries
+    /// without re-sorting all `n` scores.
     Delta {
         /// The maintained `k`.
         k: usize,
@@ -94,21 +86,25 @@ pub enum Mode {
 
 impl Default for Mode {
     fn default() -> Self {
-        Mode::Local {
-            publish_k: DEFAULT_PUBLISH_K,
+        Mode::Delta {
+            k: DEFAULT_PUBLISH_K,
         }
     }
 }
 
 impl Mode {
-    /// Parses the wire form: `local`, `local:K`, `lazy:K`, or `delta:K`.
+    /// Parses the wire form: `lazy:K` or `delta:K`. The legacy spellings
+    /// `local` and `local:K` (the retired exact-all-scores mode, still
+    /// found in old MANIFESTs and client scripts) parse as `delta:64` and
+    /// `delta:K`; `local:0` becomes `delta:1`, which likewise answers
+    /// every `TOPK` exactly.
     pub fn parse(text: &str) -> Result<Mode, String> {
         let parse_k = |s: &str| s.parse::<usize>().map_err(|_| format!("bad mode k {s:?}"));
         if text == "local" {
             Ok(Mode::default())
         } else if let Some(k) = text.strip_prefix("local:") {
-            Ok(Mode::Local {
-                publish_k: parse_k(k)?,
+            Ok(Mode::Delta {
+                k: parse_k(k)?.max(1),
             })
         } else if let Some(k) = text.strip_prefix("lazy:") {
             let k = parse_k(k)?;
@@ -123,16 +119,13 @@ impl Mode {
             }
             Ok(Mode::Delta { k })
         } else {
-            Err(format!(
-                "bad mode {text:?}: expected local, local:K, lazy:K, or delta:K"
-            ))
+            Err(format!("bad mode {text:?}: expected lazy:K or delta:K"))
         }
     }
 
     /// The wire form parsed by [`Mode::parse`].
     pub fn render(&self) -> String {
         match self {
-            Mode::Local { publish_k } => format!("local:{publish_k}"),
             Mode::Lazy { k } => format!("lazy:{k}"),
             Mode::Delta { k } => format!("delta:{k}"),
         }
@@ -268,9 +261,9 @@ pub struct EpochSnapshot {
     /// The graph at this epoch.
     pub graph: Arc<CsrGraph>,
     /// Exact maintained top-k entries published with the snapshot, when
-    /// the maintainer had them: always for [`Mode::Local`] (length
-    /// `min(publish_k, n)`), and for [`Mode::Lazy`] only when the peek was
-    /// fully fresh at publish time.
+    /// the maintainer had them: always for [`Mode::Delta`] (length
+    /// `min(k, n)`), and for [`Mode::Lazy`] only when the peek was fully
+    /// fresh at publish time.
     pub maintained: Option<Vec<(VertexId, f64)>>,
     /// For [`Mode::Lazy`]: how many maintained members were stale at
     /// publish time (0 whenever `maintained` is `Some`).
@@ -343,37 +336,37 @@ impl EpochSnapshot {
 
 /// Writer-side state: the maintainer plus the epoch it has reached.
 enum Maintainer {
-    Local(LocalIndex),
     Lazy(Box<LazyTopK>),
     Delta(Box<DeltaIndex>),
 }
 
 impl Maintainer {
-    fn build(g: &CsrGraph, mode: Mode) -> (Maintainer, Option<Vec<(VertexId, f64)>>, usize) {
+    fn build(g: &CsrGraph, mode: Mode) -> Maintainer {
         match mode {
-            Mode::Local { publish_k } => {
-                let li = LocalIndex::new(g);
-                let top = li.top_k(publish_k);
-                (Maintainer::Local(li), Some(top), 0)
-            }
-            Mode::Lazy { k } => {
-                let lz = LazyTopK::new(g, k);
+            Mode::Lazy { k } => Maintainer::Lazy(Box::new(LazyTopK::new(g, k))),
+            Mode::Delta { k } => Maintainer::Delta(Box::new(DeltaIndex::new(g, k))),
+        }
+    }
+
+    /// The exact entries to publish, if any, and how many maintained
+    /// members are stale. A lazy set publishes only when fully fresh; the
+    /// delta heap is re-certified after every applied op, so its read-off
+    /// is O(k log k) with no full sort.
+    fn maintained(&self) -> (Option<Vec<(VertexId, f64)>>, usize) {
+        match self {
+            Maintainer::Lazy(lz) => {
                 let peek = lz.peek_top_k();
-                // A fresh build is always fully exact.
-                debug_assert_eq!(peek.stale_members, 0);
-                (Maintainer::Lazy(Box::new(lz)), Some(peek.entries), 0)
+                (
+                    (peek.stale_members == 0).then_some(peek.entries),
+                    peek.stale_members,
+                )
             }
-            Mode::Delta { k } => {
-                let di = DeltaIndex::new(g, k);
-                let top = di.top_k();
-                (Maintainer::Delta(Box::new(di)), Some(top), 0)
-            }
+            Maintainer::Delta(di) => (Some(di.top_k()), 0),
         }
     }
 
     fn n(&self) -> usize {
         match self {
-            Maintainer::Local(li) => li.graph().n(),
             Maintainer::Lazy(lz) => lz.graph().n(),
             Maintainer::Delta(di) => di.graph().n(),
         }
@@ -381,7 +374,6 @@ impl Maintainer {
 
     fn apply(&mut self, op: EdgeOp) -> bool {
         match self {
-            Maintainer::Local(li) => li.apply(op),
             Maintainer::Lazy(lz) => lz.apply(op),
             Maintainer::Delta(di) => di.apply(op),
         }
@@ -389,7 +381,6 @@ impl Maintainer {
 
     fn to_csr(&self) -> CsrGraph {
         match self {
-            Maintainer::Local(li) => li.graph().to_csr(),
             Maintainer::Lazy(lz) => lz.graph().to_csr(),
             Maintainer::Delta(di) => di.graph().to_csr(),
         }
@@ -578,7 +569,8 @@ impl Dataset {
     /// Builds the maintainer on `g` and publishes epoch 0 (in-memory only;
     /// see [`Dataset::create_persistent`] for the durable variant).
     pub fn new(name: impl Into<String>, g: CsrGraph, mode: Mode) -> Self {
-        let (maintainer, maintained, stale) = Maintainer::build(&g, mode);
+        let maintainer = Maintainer::build(&g, mode);
+        let (maintained, stale) = maintainer.maintained();
         let snapshot = EpochSnapshot::new(0, Arc::new(g), maintained, stale);
         Dataset {
             name: name.into(),
@@ -639,7 +631,7 @@ impl Dataset {
             .ok_or_else(|| format!("no parseable snapshot in {dir:?}"))?;
         let (records, wal_handle, torn_tail) = Wal::recover(&dir.join(WAL_FILE), cfg.fsync)
             .map_err(|e| format!("recover WAL in {dir:?}: {e}"))?;
-        let (mut maintainer, _, _) = Maintainer::build(&g, mode);
+        let mut maintainer = Maintainer::build(&g, mode);
         let n = maintainer.n();
         let mut epoch = snapshot_epoch;
         let mut ops_applied = 0u64;
@@ -663,7 +655,7 @@ impl Dataset {
             epoch = rec.epoch;
             replayed += 1;
         }
-        let mut writer = Writer {
+        let writer = Writer {
             maintainer,
             epoch,
             ops_applied,
@@ -674,7 +666,7 @@ impl Dataset {
             }),
             last_seq: None,
         };
-        let snapshot = Self::build_snapshot(mode, &mut writer);
+        let snapshot = Self::build_snapshot(&writer);
         let ds = Dataset {
             name: name.to_string(),
             mode,
@@ -830,7 +822,7 @@ impl Dataset {
         }
         w.epoch = epoch;
         w.ops_applied += applied as u64;
-        let snapshot = Self::build_snapshot(self.mode, &mut w);
+        let snapshot = Self::build_snapshot(&w);
         let (sn, sm) = (snapshot.graph.n(), snapshot.graph.m());
         let stale = snapshot.stale_members;
         *self.current.write().unwrap() = snapshot;
@@ -916,27 +908,9 @@ impl Dataset {
     /// Builds the snapshot for the writer's current state. Called with the
     /// writer lock held; the expensive part (CSR rebuild, maintained
     /// top-k read-off) happens outside any reader-visible lock.
-    fn build_snapshot(mode: Mode, w: &mut Writer) -> Arc<EpochSnapshot> {
-        let (graph, maintained, stale) = match (&mut w.maintainer, mode) {
-            (Maintainer::Local(li), Mode::Local { publish_k }) => {
-                (Arc::new(li.graph().to_csr()), Some(li.top_k(publish_k)), 0)
-            }
-            (Maintainer::Lazy(lz), Mode::Lazy { .. }) => {
-                let peek = lz.peek_top_k();
-                let maintained = (peek.stale_members == 0).then_some(peek.entries);
-                (
-                    Arc::new(lz.graph().to_csr()),
-                    maintained,
-                    peek.stale_members,
-                )
-            }
-            // The delta heap is re-certified after every applied op, so
-            // the read-off is O(k log k) — no full sort on publish.
-            (Maintainer::Delta(di), Mode::Delta { .. }) => {
-                (Arc::new(di.graph().to_csr()), Some(di.top_k()), 0)
-            }
-            _ => unreachable!("maintainer/mode pairing is fixed at construction"),
-        };
+    fn build_snapshot(w: &Writer) -> Arc<EpochSnapshot> {
+        let graph = Arc::new(w.maintainer.to_csr());
+        let (maintained, stale) = w.maintainer.maintained();
         Arc::new(EpochSnapshot::new(w.epoch, graph, maintained, stale))
     }
 
@@ -955,7 +929,7 @@ impl Dataset {
             return None;
         };
         let entries = lz.top_k();
-        let snapshot = Self::build_snapshot(self.mode, &mut w);
+        let snapshot = Self::build_snapshot(&w);
         debug_assert_eq!(snapshot.epoch, epoch);
         debug_assert!(snapshot.maintained.is_some());
         *self.current.write().unwrap() = snapshot;
@@ -1314,12 +1288,31 @@ mod tests {
 
     #[test]
     fn mode_parse_and_render_roundtrip() {
-        for text in ["local:64", "local:10", "lazy:8", "delta:8", "delta:1"] {
+        for text in ["delta:64", "delta:10", "lazy:8", "delta:8", "delta:1"] {
             assert_eq!(Mode::parse(text).unwrap().render(), text);
         }
-        assert_eq!(Mode::parse("local").unwrap(), Mode::default());
+        assert_eq!(
+            Mode::default(),
+            Mode::Delta {
+                k: DEFAULT_PUBLISH_K
+            }
+        );
+        // Legacy `local` spellings parse as exact delta modes and never
+        // render back as `local`.
+        for (legacy, canonical) in [
+            ("local", "delta:64"),
+            ("local:64", "delta:64"),
+            ("local:10", "delta:10"),
+            ("local:1", "delta:1"),
+            ("local:0", "delta:1"),
+        ] {
+            let mode = Mode::parse(legacy).unwrap();
+            assert_eq!(mode.render(), canonical, "{legacy:?}");
+            assert_eq!(Mode::parse(&mode.render()).unwrap(), mode);
+        }
         for bad in [
-            "", "lazy", "lazy:0", "lazy:x", "local:", "exact", "delta", "delta:0", "delta:x",
+            "", "lazy", "lazy:0", "lazy:x", "local:", "local:x", "exact", "delta", "delta:0",
+            "delta:x",
         ] {
             assert!(Mode::parse(bad).is_err(), "{bad:?}");
         }
@@ -1346,6 +1339,10 @@ mod tests {
         );
         assert_eq!(
             Mode::split_path_mode("/tmp/a.snap:delta:4"),
+            ("/tmp/a.snap".to_string(), Mode::Delta { k: 4 })
+        );
+        assert_eq!(
+            Mode::split_path_mode("/tmp/a.snap:local:4"),
             ("/tmp/a.snap".to_string(), Mode::Delta { k: 4 })
         );
     }
@@ -1386,7 +1383,10 @@ mod tests {
     #[test]
     fn local_mode_publishes_exact_maintained_topk() {
         let g = classic::karate_club();
-        let ds = Dataset::new("k", g.clone(), Mode::Local { publish_k: 7 });
+        // The legacy `local:K` spelling is served by the exact delta index.
+        let mode = Mode::parse("local:7").unwrap();
+        assert_eq!(mode, Mode::Delta { k: 7 });
+        let ds = Dataset::new("k", g.clone(), mode);
         let snap = ds.snapshot();
         let maintained = snap.maintained.as_ref().unwrap();
         assert_eq!(maintained.len(), 7);

@@ -13,7 +13,7 @@
 //! * [`catalog`] — named datasets, each an **epoch-swapped** pair of
 //!   (writer-side dynamic maintainer, reader-side immutable
 //!   [`EpochSnapshot`]). Writers apply update batches through
-//!   [`egobtw_dynamic::LocalIndex`] or [`egobtw_dynamic::LazyTopK`], build
+//!   [`egobtw_dynamic::DeltaIndex`] or [`egobtw_dynamic::LazyTopK`], build
 //!   a fresh CSR snapshot off to the side, and publish it with one pointer
 //!   swap — readers clone an `Arc` and never block on maintenance work.
 //!   Each snapshot fronts hot queries with a result cache that dies with

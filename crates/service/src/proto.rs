@@ -10,7 +10,8 @@
 //! Command grammar (whitespace-separated tokens):
 //!
 //! ```text
-//! LOAD   <name> <path> [local[:K] | lazy:<k> | delta:<k>]   load a dataset file
+//! LOAD   <name> <path> [lazy:<k> | delta:<k>]   load a dataset file (default
+//!                                               delta:64; legacy `local[:K]` = delta:K)
 //! TOPK   <name> <k> [engine]                    top-k (engine: auto | registry name |
 //!                                               approx:EPS,DELTA — seeded (ε, δ) sampler)
 //! SCORE  <name> <v>...                          exact CB of named vertices

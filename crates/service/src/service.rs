@@ -11,8 +11,8 @@
 //! the service picks the cheapest correct source in order:
 //!
 //! 1. the snapshot's **maintained** entries (published by the dynamic
-//!    maintainer — free; `local` and `delta` datasets publish on every
-//!    epoch, so requests with `k ≤ maintained` never touch an engine);
+//!    maintainer — free; `delta` datasets publish on every epoch, so
+//!    requests with `k ≤ maintained` never touch an engine);
 //! 2. for a lazy dataset that deferred its refresh: pay the refresh once
 //!    via [`Dataset::refresh_maintained`], which republishes the epoch
 //!    with exact entries (amortized across all subsequent readers);

@@ -560,7 +560,7 @@ mod tests {
     fn manifest_roundtrip() {
         let dir = tmp_dir("manifest");
         for mode in [
-            Mode::Local { publish_k: 32 },
+            Mode::Delta { k: 32 },
             Mode::Lazy { k: 8 },
             Mode::Delta { k: 5 },
         ] {

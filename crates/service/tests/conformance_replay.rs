@@ -139,7 +139,10 @@ fn check_mode(g0: &CsrGraph, ops: &[EdgeOp], mode: Mode, batch: usize, seed_tag:
 fn replayed_stream_matches_oracle_local_mode() {
     let g0 = egobtw_gen::gnp(18, 0.2, 11);
     let ops = stream(&g0, 40, 0xA11CE);
-    check_mode(&g0, &ops, Mode::Local { publish_k: 6 }, 3, "local");
+    // The legacy `local:K` spelling is served by the exact delta index.
+    let mode = Mode::parse("local:6").unwrap();
+    assert_eq!(mode, Mode::Delta { k: 6 });
+    check_mode(&g0, &ops, mode, 3, "local");
 }
 
 #[test]
@@ -184,7 +187,7 @@ fn replayed_stream_from_karate_with_deletes_only_start() {
         };
         ops.push(op);
     }
-    check_mode(&g0, &ops, Mode::Local { publish_k: 8 }, 5, "karate-local");
+    check_mode(&g0, &ops, Mode::default(), 5, "karate-default");
     check_mode(&g0, &ops, Mode::Lazy { k: 8 }, 5, "karate-lazy");
     check_mode(&g0, &ops, Mode::Delta { k: 8 }, 5, "karate-delta");
 }
@@ -202,7 +205,7 @@ fn replayed_stream_survives_a_restart_at_every_epoch() {
     let ops = stream(&g0, 24, 0xB007);
     let batch = 3;
     for (mode, tag) in [
-        (Mode::Local { publish_k: 6 }, "local"),
+        (Mode::Delta { k: 6 }, "delta-k6"),
         (Mode::Lazy { k: 8 }, "lazy"),
         (Mode::Delta { k: 8 }, "delta"),
     ] {

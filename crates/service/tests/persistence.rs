@@ -97,8 +97,7 @@ fn recovery_replays_the_wal_to_the_exact_published_state() {
     let dir = TempDir::new("recover");
     let cfg = cfg(&dir, u64::MAX); // never compact: pure WAL replay
 
-    let ds =
-        Dataset::create_persistent("r", g0.clone(), Mode::Local { publish_k: 8 }, &cfg).unwrap();
+    let ds = Dataset::create_persistent("r", g0.clone(), Mode::Delta { k: 8 }, &cfg).unwrap();
     for (i, batch) in ops.chunks(3).enumerate() {
         let out = ds.apply_updates(batch).unwrap();
         assert_eq!(out.epoch, i as u64 + 1);
@@ -217,7 +216,7 @@ fn compaction_truncates_the_wal_and_keeps_one_snapshot() {
 fn manifest_preserves_the_maintainer_mode_across_restarts() {
     let g0 = egobtw_gen::classic::karate_club();
     for mode in [
-        Mode::Local { publish_k: 5 },
+        Mode::Delta { k: 5 },
         Mode::Lazy { k: 7 },
         Mode::Delta { k: 6 },
     ] {
@@ -229,6 +228,69 @@ fn manifest_preserves_the_maintainer_mode_across_restarts() {
         let (rec, _) = Dataset::recover("m", &cfg).unwrap();
         assert_eq!(rec.mode(), mode, "mode must round-trip via the manifest");
     }
+}
+
+#[test]
+fn legacy_local_manifest_recovers_as_delta_and_serves_exact_answers() {
+    use egobtw_service::proto::parse_command;
+    use egobtw_service::service::TopkSource;
+    use egobtw_service::{CatalogConfig, Reply, Service};
+
+    let g0 = egobtw_gen::gnp(16, 0.2, 5);
+    let ops = stream(&g0, 12, 0x01D);
+    let dir = TempDir::new("legacy");
+    let cfg = cfg(&dir, u64::MAX);
+    let ds = Dataset::create_persistent("old", g0.clone(), Mode::Delta { k: 8 }, &cfg).unwrap();
+    for batch in ops.chunks(3) {
+        ds.apply_updates(batch).unwrap();
+    }
+    drop(ds);
+    // The manifest exactly as earlier versions wrote it for `local:8`.
+    std::fs::write(
+        dir.path().join("old").join(MANIFEST_FILE),
+        "egobtw-dataset-v1\nname=old\nmode=local:8\n",
+    )
+    .unwrap();
+
+    let service = Service::with_config(CatalogConfig {
+        persist: Some(cfg),
+        ..CatalogConfig::default()
+    });
+    let reports = service.recover().unwrap();
+    assert_eq!(reports.len(), 1);
+    assert_eq!(reports[0].1.epoch, 4);
+    let rec = service.catalog().get("old").unwrap();
+    assert_eq!(rec.mode(), Mode::Delta { k: 8 });
+    assert_eq!(rec.snapshot().epoch, 4);
+
+    let truth = reference_truth(&replay_graph(&g0, &ops).to_csr());
+    match service.execute(&parse_command("TOPK old 8 auto").unwrap()) {
+        Ok(Reply::Topk {
+            epoch,
+            source,
+            entries,
+            ..
+        }) => {
+            assert_eq!(epoch, 4);
+            assert_eq!(source, TopkSource::Maintained);
+            check_topk(&truth, &entries, 8, REL_TOL).unwrap();
+        }
+        other => panic!("unexpected reply {other:?}"),
+    }
+
+    // `LOAD … local:K` on the wire still succeeds, as `delta:K`.
+    let snap = dir.path().join("g.snap");
+    egobtw_graph::io::write_snapshot_file(&g0, None, &snap).unwrap();
+    let line = format!("LOAD x {} local:3", snap.display());
+    let reply = service
+        .execute(&parse_command(&line).unwrap())
+        .unwrap()
+        .render();
+    assert!(reply.contains(" mode=delta:3 "), "{reply}");
+    assert_eq!(
+        service.catalog().get("x").unwrap().mode(),
+        Mode::Delta { k: 3 }
+    );
 }
 
 #[test]

@@ -118,7 +118,7 @@ fn spawn_daemon(
         "--compact-every",
         &compact_every.to_string(),
         "--load",
-        &format!("{NAME}={}:local:8", snap_path.to_str().unwrap()),
+        &format!("{NAME}={}:delta:8", snap_path.to_str().unwrap()),
     ]);
     cmd.stdout(Stdio::piped()).stderr(Stdio::null());
     if let Some(spec) = crash {

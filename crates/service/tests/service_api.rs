@@ -75,9 +75,9 @@ fn every_registry_engine_is_selectable_per_request() {
 fn k_larger_than_publish_window_falls_back_to_engine_then_cache() {
     let service = Service::new();
     service
-        .load_graph("k", classic::karate_club(), Mode::Local { publish_k: 3 })
+        .load_graph("k", classic::karate_club(), Mode::Delta { k: 3 })
         .unwrap();
-    let big_k = 10; // > publish_k → engine path
+    let big_k = 10; // > maintained k → engine path
     match exec(&service, &format!("TOPK k {big_k}")) {
         egobtw_service::Reply::Topk {
             source, entries, ..
@@ -342,9 +342,7 @@ fn concurrent_identical_cold_topks_coalesce_to_one_computation() {
     // one computes, the rest join its flight — cache_misses stays 1.
     let service = std::sync::Arc::new(Service::new());
     let g = egobtw_gen::gnp(120, 0.08, 17);
-    service
-        .load_graph("co", g, Mode::Local { publish_k: 4 })
-        .unwrap();
+    service.load_graph("co", g, Mode::Delta { k: 4 }).unwrap();
     let barrier = std::sync::Barrier::new(8);
     let answers: Vec<String> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
