@@ -148,15 +148,15 @@ fn bench_edge_membership(c: &mut Criterion) {
 }
 
 fn bench_pair_hashing(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(4);
-    let pairs: Vec<(u32, u32)> = (0..10_000)
-        .map(|_| {
-            (
-                rng.random_range(0..1u32 << 20),
-                rng.random_range(0..1u32 << 20),
-            )
-        })
-        .filter(|(a, b)| a != b)
+    // The keys an `S_u` map holds: every pair of one sorted neighbour list
+    // (150 neighbours, 11,175 pairs), so many keys share an endpoint.
+    // Independent random pairs would almost never share one, which hides
+    // a hasher that clusters on the low key bits.
+    let nbrs = sorted_random(150, 1 << 20, 4);
+    let pairs: Vec<(u32, u32)> = nbrs
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &u)| nbrs[i + 1..].iter().map(move |&v| (u, v)))
         .collect();
     let mut group = c.benchmark_group("pair_map_insert_10k");
     group.bench_function("fx_packed_u64", |b| {

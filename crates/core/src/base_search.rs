@@ -9,7 +9,7 @@
 
 use crate::engine::Engine;
 use crate::topk::{TopKSet, TopkResult};
-use egobtw_graph::CsrGraph;
+use egobtw_graph::{CsrGraph, DegreeOrder, OrientedGraph};
 
 /// Runs BaseBSearch for the top `k` ego-betweenness vertices.
 ///
@@ -25,9 +25,10 @@ pub fn base_bsearch(g: &CsrGraph, k: usize) -> TopkResult {
             stats: engine.stats,
         };
     }
+    let order = DegreeOrder::new(g);
+    let og = OrientedGraph::new(g, &order);
     let n = g.n();
-    for i in 0..n {
-        let u = engine.order().at(i);
+    for (i, u) in order.iter().enumerate() {
         if top.is_full() {
             let min_cb = top.min_score().expect("full set has a minimum");
             if min_cb >= g.degree_bound(u) {
@@ -35,7 +36,7 @@ pub fn base_bsearch(g: &CsrGraph, k: usize) -> TopkResult {
                 break;
             }
         }
-        engine.process_vertex_in_order(u);
+        engine.process_vertex_in_order(&order, &og, u);
         let cb = engine.finalize_in_order(u);
         top.offer(u, cb);
     }

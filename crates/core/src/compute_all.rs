@@ -251,9 +251,10 @@ mod tests {
         let g = gnp(40, 0.2, 17);
         let (edge_centric, _) = compute_all(&g);
         let mut engine = crate::engine::Engine::new(&g);
-        for i in 0..g.n() {
-            let u = engine.order().at(i);
-            engine.process_vertex_in_order(u);
+        let order = egobtw_graph::DegreeOrder::new(&g);
+        let og = egobtw_graph::OrientedGraph::new(&g, &order);
+        for u in order.iter() {
+            engine.process_vertex_in_order(&order, &og, u);
             let cb = engine.finalize_in_order(u);
             assert!((cb - edge_centric[u as usize]).abs() < 1e-9, "vertex {u}");
         }

@@ -19,7 +19,8 @@
 //!
 //! * BaseBSearch achieves completeness by visiting vertices in the total
 //!   order and processing the triangles each vertex *leads*
-//!   ([`Engine::process_vertex_in_order`]);
+//!   ([`Engine::process_vertex_in_order`]; the caller builds the order and
+//!   the orientation, which OptBSearch never reads);
 //! * OptBSearch calls [`Engine::complete_vertex`] (the paper's EgoBWCal),
 //!   which processes exactly the still-unprocessed triangles containing
 //!   the vertex, wherever the search has wandered so far.
@@ -28,15 +29,12 @@ use crate::smap::SMapStore;
 use crate::stats::SearchStats;
 use egobtw_graph::triangle::intersect_rank_sorted;
 use egobtw_graph::{
-    pack_pair, CsrGraph, DegreeOrder, EdgeSet, FxHashMap, FxHashSet, OrientedGraph, VertexId,
+    pack_pair, CsrGraph, DegreeOrder, FxHashMap, FxHashSet, OrientedGraph, VertexId,
 };
 
 /// Shared state of one search over one graph.
 pub struct Engine<'g> {
     g: &'g CsrGraph,
-    order: DegreeOrder,
-    og: OrientedGraph,
-    edges: EdgeSet,
     store: SMapStore,
     /// Per-edge list of common neighbors already seen in processed
     /// triangles (`rd` in Algorithm 3).
@@ -52,15 +50,11 @@ pub struct Engine<'g> {
 }
 
 impl<'g> Engine<'g> {
-    /// Fresh engine over `g` (computes the total order, the orientation,
-    /// and the edge set; allocates empty maps).
+    /// Fresh engine over `g`: allocates empty maps and builds nothing
+    /// else, so a search pays only for the triangles it processes.
     pub fn new(g: &'g CsrGraph) -> Self {
-        let order = DegreeOrder::new(g);
-        let og = OrientedGraph::new(g, &order);
         Engine {
             g,
-            og,
-            edges: EdgeSet::from_graph(g),
             store: SMapStore::new(g.n()),
             cn: FxHashMap::default(),
             completed: vec![false; g.n()],
@@ -68,18 +62,12 @@ impl<'g> Engine<'g> {
             tri_buf: Vec::new(),
             scratch: Vec::new(),
             stats: SearchStats::default(),
-            order,
         }
     }
 
     /// The graph this engine runs over.
     pub fn graph(&self) -> &CsrGraph {
         self.g
-    }
-
-    /// The total order `≺`.
-    pub fn order(&self) -> &DegreeOrder {
-        &self.order
     }
 
     /// Read access to the map store (tests and harnesses).
@@ -115,29 +103,35 @@ impl<'g> Engine<'g> {
             let list = self.cn.entry(pack_pair(p, q)).or_default();
             for &x in list.iter() {
                 debug_assert!(x != t, "triangle ({p},{q},{t}) processed twice");
-                if !self.edges.contains(x, t) {
+                if !self.g.has_edge(x, t) {
                     self.store.map_mut(p).add_connector(x, t);
                     self.store.map_mut(q).add_connector(x, t);
                     self.stats.diamonds_counted += 1;
                 }
             }
             // `list` stayed valid throughout: the loop body only touched
-            // `store`/`edges`/`stats`, all disjoint fields.
+            // `store`/`g`/`stats`, all disjoint fields.
             list.push(t);
         }
     }
 
     /// BaseBSearch step: processes every triangle *led by* `u` (i.e. with
-    /// `u` as its `≺`-minimal corner). When vertices are fed in total
+    /// `u` as its `≺`-minimal corner in `order`; `og` must orient this
+    /// engine's graph by the same order). When vertices are fed in total
     /// order, `S_u` is complete at the end of `u`'s own call.
-    pub fn process_vertex_in_order(&mut self, u: VertexId) {
+    pub fn process_vertex_in_order(
+        &mut self,
+        order: &DegreeOrder,
+        og: &OrientedGraph,
+        u: VertexId,
+    ) {
         let mut tris = std::mem::take(&mut self.tri_buf);
         let mut scratch = std::mem::take(&mut self.scratch);
         tris.clear();
-        let nu = self.og.out_neighbors(u);
+        let nu = og.out_neighbors(u);
         for &v in nu {
             scratch.clear();
-            intersect_rank_sorted(&self.order, nu, self.og.out_neighbors(v), &mut scratch);
+            intersect_rank_sorted(order, nu, og.out_neighbors(v), &mut scratch);
             tris.extend(scratch.iter().map(|&w| (v, w)));
         }
         for &(v, w) in &tris {
@@ -221,9 +215,10 @@ mod tests {
     /// vertex.
     fn check_ordered(g: &CsrGraph) {
         let mut e = Engine::new(g);
-        let order: Vec<VertexId> = e.order().iter().collect();
-        for u in order {
-            e.process_vertex_in_order(u);
+        let order = DegreeOrder::new(g);
+        let og = OrientedGraph::new(g, &order);
+        for u in order.iter() {
+            e.process_vertex_in_order(&order, &og, u);
             let cb = e.finalize_in_order(u);
             assert_close(cb, ego_betweenness_of(g, u), &format!("vertex {u}"));
         }
@@ -304,6 +299,26 @@ mod tests {
             let g = gnp(40, 0.15, seed);
             check_ordered(&g);
             check_completion(&g, (0..g.n() as VertexId).rev());
+        }
+    }
+
+    #[test]
+    fn hub_graphs_match_oracle() {
+        // Skewed R-MAT carries bitmap rows, so the diamond check's
+        // `has_edge` takes its hub bit-probe branch here (the gnp and
+        // classic graphs above have no hubs).
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        for seed in 0..3 {
+            let g = egobtw_gen::rmat(9, 4, egobtw_gen::rmat::RmatParams::skewed(), seed);
+            assert!(g.hub_count() > 0, "seed {seed}: no hub rows");
+            let n = g.n() as VertexId;
+            check_ordered(&g);
+            check_completion(&g, 0..n);
+            check_completion(&g, (0..n).rev());
+            let mut shuffled: Vec<VertexId> = (0..n).collect();
+            shuffled.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
+            check_completion(&g, shuffled.into_iter());
         }
     }
 

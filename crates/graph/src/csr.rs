@@ -593,8 +593,10 @@ impl CsrGraph {
     }
 
     /// Edge membership: one bit-probe when either endpoint is a hub,
-    /// otherwise binary search (`O(log d)`) on the smaller endpoint. For
-    /// guaranteed O(1) membership in hot loops build an [`crate::EdgeSet`].
+    /// otherwise binary search (`O(log d)`) on the smaller endpoint. The
+    /// top-k search engine's diamond check uses this directly; the
+    /// whole-graph passes (`compute_all`, PEBW) build an [`crate::EdgeSet`]
+    /// for guaranteed O(1) membership instead.
     #[inline]
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
         if u == v {

@@ -4,6 +4,12 @@
 //! single hottest predicate in the system. A hash set of packed pair keys
 //! answers it in O(1) versus `O(log d)` for CSR binary search; the `ablate`
 //! harness quantifies the difference.
+//!
+//! Only the whole-graph passes (`compute_all` and PEBW) build one: they
+//! test every diamond of the graph, so the build amortizes. The top-k
+//! search engine (Base/OptBSearch) tests membership with
+//! [`CsrGraph::has_edge`] instead, because a search touches a fraction of
+//! the graph and building the set would cost more than it saves.
 
 use crate::csr::CsrGraph;
 use crate::hash::FxHashSet;
