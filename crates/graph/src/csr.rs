@@ -22,6 +22,7 @@ use crate::intersect::{
 };
 use crate::pair::pack_pair;
 use crate::VertexId;
+use std::sync::Arc;
 
 /// How [`CsrGraph`] chooses which vertices get packed bitmap rows.
 ///
@@ -90,84 +91,155 @@ impl Default for HybridConfig {
 }
 
 /// Packed bitmap rows for the hub vertices (see [`HybridConfig`]).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct HubBitmaps {
+    /// The policy the rows were chosen under, kept so a patched graph
+    /// ([`CsrGraph::with_rows`]) re-decides under the same policy.
+    cfg: HybridConfig,
     /// Degree threshold actually chosen; `usize::MAX` when no rows exist.
     threshold: usize,
     /// `⌈n/64⌉`, the length of each row.
     words_per_row: usize,
     /// Row index per vertex (`u32::MAX` = no row); empty when no rows.
-    row_of: Box<[u32]>,
-    /// Concatenated rows.
-    words: Box<[u64]>,
+    /// Shared between a graph and the graphs patched from it while the
+    /// hub set holds.
+    row_of: Arc<[u32]>,
+    /// Concatenated rows; shared like `row_of` until a patch rewrites a
+    /// hub row (copy on write).
+    words: Arc<[u64]>,
+}
+
+/// The smallest affordable hub degree threshold `≥ cfg.min_hub_degree`
+/// for the degrees `offsets` describes, or `usize::MAX` when no vertex
+/// gets a row. The single threshold rule of [`HubBitmaps::build`] and
+/// [`HubBitmaps::patched`].
+fn hub_threshold_for(offsets: &[usize], cfg: &HybridConfig) -> usize {
+    let n = offsets.len() - 1;
+    let m = offsets[n] / 2;
+    if !cfg.enabled || n == 0 {
+        return usize::MAX;
+    }
+    let words_per_row = n.div_ceil(64);
+    // Small constant allowance so a tiny graph with one genuine hub
+    // (e.g. a star) still gets its row under a per-edge budget.
+    let budget_words = m
+        .saturating_mul(cfg.budget_words_per_edge)
+        .saturating_add(8 * words_per_row);
+    let degree = |u: usize| offsets[u + 1] - offsets[u];
+    let d_max = (0..n).map(degree).max().unwrap_or(0);
+    let floor = cfg.min_hub_degree.max(1);
+    if d_max < floor {
+        return usize::MAX;
+    }
+    // count_ge[d] = #vertices with degree ≥ d; smallest affordable
+    // threshold ≥ floor wins.
+    let mut count_ge = vec![0usize; d_max + 2];
+    for u in 0..n {
+        count_ge[degree(u)] += 1;
+    }
+    for d in (0..=d_max).rev() {
+        count_ge[d] += count_ge[d + 1];
+    }
+    let mut threshold = floor;
+    while threshold <= d_max && count_ge[threshold].saturating_mul(words_per_row) > budget_words {
+        threshold += 1;
+    }
+    if threshold > d_max {
+        usize::MAX
+    } else {
+        threshold
+    }
+}
+
+/// Sets exactly the bits of `row_adj` in `row` (cleared first).
+fn fill_row(row: &mut [u64], row_adj: &[VertexId]) {
+    row.fill(0);
+    for &v in row_adj {
+        row[v as usize >> 6] |= 1u64 << (v & 63);
+    }
 }
 
 impl HubBitmaps {
-    fn none() -> Self {
+    fn none(cfg: HybridConfig) -> Self {
         HubBitmaps {
+            cfg,
             threshold: usize::MAX,
             words_per_row: 0,
-            row_of: Box::new([]),
-            words: Box::new([]),
+            row_of: Arc::new([]),
+            words: Arc::new([]),
         }
     }
 
     /// Picks the threshold and packs the rows for an already-built CSR.
     fn build(offsets: &[usize], adj: &[VertexId], cfg: &HybridConfig) -> Self {
+        let threshold = hub_threshold_for(offsets, cfg);
+        if threshold == usize::MAX {
+            return HubBitmaps::none(*cfg);
+        }
         let n = offsets.len() - 1;
-        let m = adj.len() / 2;
-        if !cfg.enabled || n == 0 {
-            return HubBitmaps::none();
-        }
         let words_per_row = n.div_ceil(64);
-        // Small constant allowance so a tiny graph with one genuine hub
-        // (e.g. a star) still gets its row under a per-edge budget.
-        let budget_words = m
-            .saturating_mul(cfg.budget_words_per_edge)
-            .saturating_add(8 * words_per_row);
-        let degree = |u: usize| offsets[u + 1] - offsets[u];
-        let d_max = (0..n).map(degree).max().unwrap_or(0);
-        let floor = cfg.min_hub_degree.max(1);
-        if d_max < floor {
-            return HubBitmaps::none();
-        }
-        // count_ge[d] = #vertices with degree ≥ d; smallest affordable
-        // threshold ≥ floor wins.
-        let mut count_ge = vec![0usize; d_max + 2];
-        for u in 0..n {
-            count_ge[degree(u)] += 1;
-        }
-        for d in (0..=d_max).rev() {
-            count_ge[d] += count_ge[d + 1];
-        }
-        let mut threshold = floor;
-        while threshold <= d_max && count_ge[threshold].saturating_mul(words_per_row) > budget_words
+        let hubs = (0..n)
+            .filter(|&u| offsets[u + 1] - offsets[u] >= threshold)
+            .count();
+        // Built in place: collecting a sized iterator allocates the `Arc`
+        // once, with no copy out of a `Vec`.
+        let mut row_of: Arc<[u32]> = std::iter::repeat_n(u32::MAX, n).collect();
+        let mut words: Arc<[u64]> = std::iter::repeat_n(0, hubs * words_per_row).collect();
         {
-            threshold += 1;
-        }
-        if threshold > d_max {
-            return HubBitmaps::none();
-        }
-        let hubs = count_ge[threshold];
-        let mut row_of = vec![u32::MAX; n];
-        let mut words = vec![0u64; hubs * words_per_row];
-        let mut next_row = 0u32;
-        for u in 0..n {
-            if degree(u) >= threshold {
-                let base = next_row as usize * words_per_row;
-                for &v in &adj[offsets[u]..offsets[u + 1]] {
-                    words[base + (v as usize >> 6)] |= 1u64 << (v & 63);
+            let row_of = Arc::get_mut(&mut row_of).expect("unshared");
+            let words = Arc::get_mut(&mut words).expect("unshared");
+            let mut next_row = 0u32;
+            for u in 0..n {
+                if offsets[u + 1] - offsets[u] >= threshold {
+                    let base = next_row as usize * words_per_row;
+                    fill_row(
+                        &mut words[base..base + words_per_row],
+                        &adj[offsets[u]..offsets[u + 1]],
+                    );
+                    row_of[u] = next_row;
+                    next_row += 1;
                 }
-                row_of[u] = next_row;
-                next_row += 1;
             }
         }
         HubBitmaps {
+            cfg: *cfg,
             threshold,
             words_per_row,
-            row_of: row_of.into_boxed_slice(),
-            words: words.into_boxed_slice(),
+            row_of,
+            words,
         }
+    }
+
+    /// The rows for a CSR that differs from this one's only in the
+    /// adjacency of the `rows` vertices (see [`CsrGraph::with_rows`]).
+    /// When the threshold holds and no patched vertex crosses it, the hub
+    /// set is unchanged, so the rows are shared — copied once if a patched
+    /// vertex is a hub, and only the patched hubs' rows rewritten;
+    /// otherwise everything is rebuilt under the stored policy.
+    fn patched(
+        &self,
+        offsets: &[usize],
+        adj: &[VertexId],
+        rows: &[(VertexId, &[VertexId])],
+    ) -> Self {
+        let threshold = hub_threshold_for(offsets, &self.cfg);
+        let same_hubs = threshold == self.threshold
+            && rows
+                .iter()
+                .all(|&(u, row)| (row.len() >= threshold) == self.row(u).is_some());
+        if !same_hubs {
+            return HubBitmaps::build(offsets, adj, &self.cfg);
+        }
+        let mut hubs = self.clone();
+        for &(u, row) in rows {
+            let slot = hubs.row_of.get(u as usize).copied().unwrap_or(u32::MAX);
+            if slot != u32::MAX {
+                let base = slot as usize * hubs.words_per_row;
+                let words = Arc::make_mut(&mut hubs.words);
+                fill_row(&mut words[base..base + hubs.words_per_row], row);
+            }
+        }
+        hubs
     }
 
     /// The bitmap row of `u`, if it is a hub.
@@ -209,7 +281,7 @@ enum CnKernel<'a> {
 /// * no self-loops;
 /// * symmetry: `v ∈ N(u) ⟺ u ∈ N(v)`;
 /// * every hub bitmap row holds exactly the bits of its adjacency slice.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CsrGraph {
     offsets: Box<[usize]>,
     adj: Box<[VertexId]>,
@@ -364,6 +436,64 @@ impl CsrGraph {
             offsets: self.offsets.clone(),
             adj: self.adj.clone(),
             hubs: HubBitmaps::build(&self.offsets, &self.adj, cfg),
+        };
+        debug_assert_eq!(g.validate(), Ok(()));
+        g
+    }
+
+    /// This graph with the adjacency of some vertices replaced: the next
+    /// epoch of a graph under edge updates, at the cost of copying the
+    /// arrays plus the new rows instead of re-sorting all `m` edges.
+    ///
+    /// `rows` lists `(u, new N(u))` sorted by strictly increasing `u`,
+    /// each list strictly increasing; the caller keeps symmetry (both
+    /// endpoints of every flipped edge appear). Untouched rows are copied
+    /// as contiguous spans with shifted offsets — no edge sort, no
+    /// hashing. Hub rows are shared with this graph (copied once if a
+    /// touched vertex is a hub, and only the touched hubs' rows
+    /// rewritten), unless the new degrees move the threshold or a touched
+    /// vertex crosses it, in which case the bitmaps are rebuilt under the
+    /// policy this graph was built with. Panics if `rows` is unsorted or
+    /// out of range. The result equals
+    /// [`CsrGraph::from_edges_with`] on the updated edge list under that
+    /// policy.
+    pub fn with_rows(&self, rows: &[(VertexId, &[VertexId])]) -> Self {
+        let n = self.n();
+        let new_len = rows.iter().fold(self.adj.len(), |len, &(u, row)| {
+            len - self.degree(u) + row.len()
+        });
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut adj = Vec::with_capacity(new_len);
+        // Copies the untouched rows `from..to` as one span.
+        let copy_span = |offsets: &mut Vec<usize>, adj: &mut Vec<VertexId>, from, to| {
+            let start = self.offsets[from];
+            let shift = adj.len().wrapping_sub(start);
+            offsets.extend(
+                self.offsets[from..to]
+                    .iter()
+                    .map(|&o| o.wrapping_add(shift)),
+            );
+            adj.extend_from_slice(&self.adj[start..self.offsets[to]]);
+        };
+        let mut next = 0usize;
+        for &(u, row) in rows {
+            let u = u as usize;
+            assert!(
+                u >= next && u < n,
+                "with_rows: row {u} out of order or out of range (n={n})"
+            );
+            copy_span(&mut offsets, &mut adj, next, u);
+            offsets.push(adj.len());
+            adj.extend_from_slice(row);
+            next = u + 1;
+        }
+        copy_span(&mut offsets, &mut adj, next, n);
+        offsets.push(adj.len());
+        let hubs = self.hubs.patched(&offsets, &adj, rows);
+        let g = CsrGraph {
+            offsets: offsets.into_boxed_slice(),
+            adj: adj.into_boxed_slice(),
+            hubs,
         };
         debug_assert_eq!(g.validate(), Ok(()));
         g
@@ -788,13 +918,13 @@ mod tests {
         let asym = CsrGraph {
             offsets: vec![0usize, 1, 1].into_boxed_slice(),
             adj: vec![1 as VertexId].into_boxed_slice(),
-            hubs: HubBitmaps::none(),
+            hubs: HubBitmaps::none(HybridConfig::new()),
         };
         assert!(asym.validate().unwrap_err().contains("odd total degree"));
         let unsorted = CsrGraph {
             offsets: vec![0usize, 2, 3, 4].into_boxed_slice(),
             adj: vec![2 as VertexId, 1, 0, 0].into_boxed_slice(),
-            hubs: HubBitmaps::none(),
+            hubs: HubBitmaps::none(HybridConfig::new()),
         };
         assert!(unsorted
             .validate()
@@ -803,7 +933,7 @@ mod tests {
         let self_loop = CsrGraph {
             offsets: vec![0usize, 2, 4].into_boxed_slice(),
             adj: vec![0 as VertexId, 1, 0, 1].into_boxed_slice(),
-            hubs: HubBitmaps::none(),
+            hubs: HubBitmaps::none(HybridConfig::new()),
         };
         assert!(self_loop.validate().unwrap_err().contains("self-loop"));
     }
@@ -815,7 +945,7 @@ mod tests {
         assert!(g.hub_count() > 0);
         assert_eq!(g.validate(), Ok(()));
         // Flip a bit in vertex 0's row: adjacency and bitmap now disagree.
-        g.hubs.words[0] ^= 1u64 << 3;
+        Arc::make_mut(&mut g.hubs.words)[0] ^= 1u64 << 3;
         assert!(g.validate().unwrap_err().contains("disagrees"));
     }
 

@@ -4,9 +4,13 @@
 //! Each [`Dataset`] is split into a writer side and a reader side:
 //!
 //! * the **writer** — a dynamic maintainer ([`DeltaIndex`] or
-//!   [`LazyTopK`]) behind a `Mutex`, owning the mutable graph. Update
-//!   batches go through the maintainer's incremental path, then a fresh
-//!   immutable CSR snapshot is built and published;
+//!   [`LazyTopK`]) behind a `Mutex`, owning the mutable graph, plus the
+//!   last published CSR. Update batches go through the maintainer's
+//!   incremental path; the next epoch's CSR is that last one with only
+//!   the rows of the batch's endpoints replaced ([`CsrGraph::with_rows`]:
+//!   span copies of the untouched rows, no edge sort), so a publish
+//!   costs a copy of the arrays plus the touched rows rather than an
+//!   `O(m log m)` rebuild;
 //! * the **reader** — an `RwLock<Arc<EpochSnapshot>>` holding the current
 //!   epoch. Readers clone the `Arc` under a momentary read lock and then
 //!   work entirely on immutable data, so a slow query never sees a
@@ -50,13 +54,14 @@ use egobtw_core::registry::topk_from_scores;
 use egobtw_dynamic::{DeltaIndex, EdgeOp, LazyTopK};
 use egobtw_graph::io::fnv1a64;
 use egobtw_graph::{CsrGraph, FxHashMap, VertexId};
-use egobtw_telemetry::{Counter, Gauge, Registry};
+use egobtw_telemetry::{Counter, Gauge, Histogram, Registry};
 use std::collections::HashMap;
 use std::fs;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// The `k` a dataset maintains when `LOAD` names no mode: [`Mode::default`]
 /// is `delta:DEFAULT_PUBLISH_K`, so requests with `k` at most this are
@@ -365,13 +370,6 @@ impl Maintainer {
         }
     }
 
-    fn n(&self) -> usize {
-        match self {
-            Maintainer::Lazy(lz) => lz.graph().n(),
-            Maintainer::Delta(di) => di.graph().n(),
-        }
-    }
-
     fn apply(&mut self, op: EdgeOp) -> bool {
         match self {
             Maintainer::Lazy(lz) => lz.apply(op),
@@ -379,11 +377,27 @@ impl Maintainer {
         }
     }
 
-    fn to_csr(&self) -> CsrGraph {
-        match self {
-            Maintainer::Lazy(lz) => lz.graph().to_csr(),
-            Maintainer::Delta(di) => di.graph().to_csr(),
+    /// `base` with the rows of `touched` replaced by the maintainer's
+    /// current adjacency (see [`CsrGraph::with_rows`]); `base` itself when
+    /// nothing was touched. `touched` must hold both endpoints of every op
+    /// applied since `base`; it is sorted and deduplicated here.
+    fn patch(&self, base: &Arc<CsrGraph>, touched: &mut Vec<VertexId>) -> Arc<CsrGraph> {
+        if touched.is_empty() {
+            return base.clone();
         }
+        let g = match self {
+            Maintainer::Lazy(lz) => lz.graph(),
+            Maintainer::Delta(di) => di.graph(),
+        };
+        touched.sort_unstable();
+        touched.dedup();
+        let lists: Vec<Vec<VertexId>> = touched.iter().map(|&u| g.sorted_neighbors(u)).collect();
+        let rows: Vec<(VertexId, &[VertexId])> = touched
+            .iter()
+            .zip(&lists)
+            .map(|(&u, list)| (u, list.as_slice()))
+            .collect();
+        Arc::new(base.with_rows(&rows))
     }
 }
 
@@ -408,6 +422,9 @@ struct SeqRecord {
 
 struct Writer {
     maintainer: Maintainer,
+    /// The last published graph: the maintainer's graph at `epoch`, which
+    /// the next publish patches and compaction serializes.
+    graph: Arc<CsrGraph>,
     epoch: u64,
     /// Total ops accepted (graph actually changed) since load or recovery.
     ops_applied: u64,
@@ -494,6 +511,9 @@ pub struct DatasetMetrics {
     pub stale_members: Arc<Gauge>,
     /// Snapshot compactions completed.
     pub compactions: Arc<Counter>,
+    /// Per-UPDATE publish time in nanoseconds: patching the next epoch's
+    /// CSR plus swapping it in for readers.
+    pub publish_latency_ns: Arc<Histogram>,
     /// WAL append/fsync counters handed to the dataset's [`Wal`].
     pub wal: WalMetrics,
 }
@@ -547,6 +567,11 @@ impl DatasetMetrics {
                 "egobtw_wal_compactions_total",
                 "Snapshot compactions completed.",
             ),
+            publish_latency_ns: registry.histogram(
+                "egobtw_publish_latency_ns",
+                "Per-UPDATE time to patch the next epoch's CSR and swap it in.",
+                labels,
+            ),
             wal: WalMetrics {
                 appends: counter("egobtw_wal_appends_total", "WAL records appended."),
                 fsyncs: counter("egobtw_wal_fsyncs_total", "Explicit WAL data syncs."),
@@ -570,13 +595,15 @@ impl Dataset {
     /// see [`Dataset::create_persistent`] for the durable variant).
     pub fn new(name: impl Into<String>, g: CsrGraph, mode: Mode) -> Self {
         let maintainer = Maintainer::build(&g, mode);
+        let graph = Arc::new(g);
         let (maintained, stale) = maintainer.maintained();
-        let snapshot = EpochSnapshot::new(0, Arc::new(g), maintained, stale);
+        let snapshot = EpochSnapshot::new(0, graph.clone(), maintained, stale);
         Dataset {
             name: name.into(),
             mode,
             writer: Mutex::new(Writer {
                 maintainer,
+                graph,
                 epoch: 0,
                 ops_applied: 0,
                 persist: None,
@@ -632,10 +659,11 @@ impl Dataset {
         let (records, wal_handle, torn_tail) = Wal::recover(&dir.join(WAL_FILE), cfg.fsync)
             .map_err(|e| format!("recover WAL in {dir:?}: {e}"))?;
         let mut maintainer = Maintainer::build(&g, mode);
-        let n = maintainer.n();
+        let n = g.n();
         let mut epoch = snapshot_epoch;
         let mut ops_applied = 0u64;
         let mut replayed = 0usize;
+        let mut touched = Vec::new();
         for rec in &records {
             if rec.epoch <= snapshot_epoch {
                 continue; // compacted away logically; crash kept the bytes
@@ -650,13 +678,17 @@ impl Dataset {
                 }
                 if maintainer.apply(op) {
                     ops_applied += 1;
+                    touched.extend([u, v]);
                 }
             }
             epoch = rec.epoch;
             replayed += 1;
         }
+        // One patch covers the whole replayed tail.
+        let graph = maintainer.patch(&Arc::new(g), &mut touched);
         let writer = Writer {
             maintainer,
+            graph,
             epoch,
             ops_applied,
             persist: Some(DatasetPersist {
@@ -794,8 +826,9 @@ impl Dataset {
                 ));
             }
         }
-        let n = w.maintainer.n();
+        let n = w.graph.n();
         let mut applied = 0usize;
+        let mut touched = Vec::with_capacity(2 * ops.len());
         for &op in ops {
             let (u, v) = op.endpoints();
             if (u as usize) >= n || (v as usize) >= n {
@@ -803,6 +836,7 @@ impl Dataset {
             }
             if w.maintainer.apply(op) {
                 applied += 1;
+                touched.extend([u, v]);
             }
         }
         let epoch = w.epoch + 1;
@@ -822,10 +856,15 @@ impl Dataset {
         }
         w.epoch = epoch;
         w.ops_applied += applied as u64;
+        let publish_start = Instant::now();
+        w.graph = w.maintainer.patch(&w.graph, &mut touched);
         let snapshot = Self::build_snapshot(&w);
         let (sn, sm) = (snapshot.graph.n(), snapshot.graph.m());
         let stale = snapshot.stale_members;
         *self.current.write().unwrap() = snapshot;
+        self.metrics
+            .publish_latency_ns
+            .record(publish_start.elapsed().as_nanos() as u64);
         self.metrics.epoch.set(epoch as i64);
         self.metrics.stale_members.set(stale as i64);
         if let Some(p) = w.persist.as_ref() {
@@ -881,11 +920,11 @@ impl Dataset {
 
     fn compact_locked(&self, w: &mut Writer) -> Result<u64, String> {
         let epoch = w.epoch;
-        let g = w.maintainer.to_csr();
         let Some(p) = w.persist.as_mut() else {
             return Err("dataset is not persistent".into());
         };
-        wal::write_snapshot_at(&p.dir, &g, epoch).map_err(|e| format!("write snapshot: {e}"))?;
+        wal::write_snapshot_at(&p.dir, &w.graph, epoch)
+            .map_err(|e| format!("write snapshot: {e}"))?;
         p.wal.truncate().map_err(|e| format!("truncate WAL: {e}"))?;
         self.metrics.compactions.inc();
         Ok(epoch)
@@ -905,13 +944,18 @@ impl Dataset {
         }
     }
 
-    /// Builds the snapshot for the writer's current state. Called with the
-    /// writer lock held; the expensive part (CSR rebuild, maintained
-    /// top-k read-off) happens outside any reader-visible lock.
+    /// Builds the snapshot for the writer's current state around the
+    /// already-patched `w.graph` (shared, not copied). Called with the
+    /// writer lock held; the maintained top-k read-off happens outside any
+    /// reader-visible lock.
     fn build_snapshot(w: &Writer) -> Arc<EpochSnapshot> {
-        let graph = Arc::new(w.maintainer.to_csr());
         let (maintained, stale) = w.maintainer.maintained();
-        Arc::new(EpochSnapshot::new(w.epoch, graph, maintained, stale))
+        Arc::new(EpochSnapshot::new(
+            w.epoch,
+            w.graph.clone(),
+            maintained,
+            stale,
+        ))
     }
 
     /// Pays the deferred lazy refresh for `epoch`, if the writer is still
@@ -1441,7 +1485,10 @@ mod tests {
         let snap2 = ds.snapshot();
         assert_eq!(snap2.epoch, 1);
         assert_eq!(snap2.maintained.as_ref().unwrap(), &entries);
-        assert!(Arc::ptr_eq(&snap.graph, &snap2.graph) || snap.graph.m() == snap2.graph.m());
+        assert!(
+            Arc::ptr_eq(&snap.graph, &snap2.graph),
+            "a refresh republishes the epoch's graph, it does not rebuild it"
+        );
         // Refresh for a stale epoch is refused.
         ds.apply_updates(&[EdgeOp::Insert(0, 5)]).unwrap();
         assert!(ds.refresh_maintained(1).is_none());

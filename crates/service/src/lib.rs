@@ -13,9 +13,11 @@
 //! * [`catalog`] — named datasets, each an **epoch-swapped** pair of
 //!   (writer-side dynamic maintainer, reader-side immutable
 //!   [`EpochSnapshot`]). Writers apply update batches through
-//!   [`egobtw_dynamic::DeltaIndex`] or [`egobtw_dynamic::LazyTopK`], build
-//!   a fresh CSR snapshot off to the side, and publish it with one pointer
-//!   swap — readers clone an `Arc` and never block on maintenance work.
+//!   [`egobtw_dynamic::DeltaIndex`] or [`egobtw_dynamic::LazyTopK`],
+//!   build the next CSR snapshot off to the side by patching only the
+//!   rows the batch touched into the previous one, and publish it with
+//!   one pointer swap — readers clone an `Arc` and never block on
+//!   maintenance work.
 //!   Each snapshot fronts hot queries with a result cache that dies with
 //!   its epoch, so invalidation is structural rather than tracked.
 //!   The catalog is sharded by dataset-name hash: independent map locks

@@ -443,7 +443,9 @@ pub fn metrics_crosscheck(requests: usize, seed: u64) -> Result<Json, String> {
 }
 
 /// Metric names every healthy daemon must expose (the live-scrape gate).
-pub const REQUIRED_METRICS: [&str; 8] = [
+/// `egobtw_publish_latency_ns` is per dataset, so the gate expects a
+/// daemon with at least one dataset loaded.
+pub const REQUIRED_METRICS: [&str; 9] = [
     "egobtw_requests_admitted_total",
     "egobtw_requests_completed_total",
     "egobtw_requests_cancelled_total",
@@ -452,6 +454,7 @@ pub const REQUIRED_METRICS: [&str; 8] = [
     "egobtw_shed_total",
     "egobtw_timeouts_total",
     "egobtw_compute_inflight",
+    "egobtw_publish_latency_ns",
 ];
 
 /// Live-daemon scrape gate: two `METRICS` scrapes over TCP, each parsed

@@ -324,3 +324,108 @@ fn retire_deletes_the_directory_and_refuses_further_writes() {
     let err = ds.apply_updates(&[EdgeOp::Insert(0, 6)]).unwrap_err();
     assert!(err.contains("retired"), "{err}");
 }
+
+/// Every published epoch's graph is exactly the from-scratch CSR of the
+/// durable op prefix — adjacency, offsets and hub rows — although the
+/// write path only patches the rows each batch touched. So are the
+/// snapshot files compaction writes and the graph recovery rebuilds.
+/// Batches mix state changes with ops that cancel out within the batch
+/// and with duplicate, absent, self-loop and out-of-range ops.
+#[test]
+fn every_epoch_graph_equals_a_fresh_build_of_its_prefix() {
+    let g0 = egobtw_gen::rmat(8, 4, egobtw_gen::rmat::RmatParams::skewed(), 3);
+    assert!(g0.hub_count() > 0, "hub rows must be exercised");
+    let n = g0.n() as VertexId;
+    let hubs: Vec<VertexId> = g0
+        .vertices()
+        .filter(|&u| g0.hub_bitmap(u).is_some())
+        .collect();
+    for mode in [Mode::Delta { k: 8 }, Mode::Lazy { k: 8 }] {
+        let dir = TempDir::new("epoch-eq");
+        let cfg = cfg(&dir, 3);
+        let ds = Dataset::create_persistent("e", g0.clone(), mode, &cfg).unwrap();
+        let mut rng = StdRng::seed_from_u64(0xE90C);
+        let mut mirror = egobtw_graph::DynGraph::from_csr(&g0);
+        // In-range ops so far: the catalog skips the rest before they
+        // reach the maintainer, and so must the reference replay.
+        let mut in_range: Vec<EdgeOp> = Vec::new();
+        for batch in 0..14u64 {
+            // Endpoints biased towards hubs, so hub rows get rewritten.
+            let mut pick = || {
+                if rng.random_bool(0.5) {
+                    hubs[rng.random_range(0..hubs.len())]
+                } else {
+                    rng.random_range(0..n)
+                }
+            };
+            let (u, v) = loop {
+                let (u, v) = (pick(), pick());
+                if u != v {
+                    break (u, v);
+                }
+            };
+            let flip = if mirror.has_edge(u, v) {
+                EdgeOp::Delete(u, v)
+            } else {
+                EdgeOp::Insert(u, v)
+            };
+            let undo = match flip {
+                EdgeOp::Insert(..) => EdgeOp::Delete(u, v),
+                EdgeOp::Delete(..) => EdgeOp::Insert(u, v),
+            };
+            let ops = match batch % 3 {
+                0 => vec![flip],
+                // The same pair flipped and flipped back: rows touched,
+                // graph unchanged.
+                1 => vec![flip, undo],
+                // A real change plus a duplicate of it, an absent delete,
+                // a self-loop and two out-of-range endpoints.
+                _ => vec![
+                    flip,
+                    flip,
+                    EdgeOp::Delete(u, u),
+                    EdgeOp::Insert(u, u),
+                    EdgeOp::Insert(u, n),
+                    EdgeOp::Delete(n + 7, v),
+                ],
+            };
+            ds.apply_updates(&ops).unwrap();
+            for &op in &ops {
+                let (a, b) = op.endpoints();
+                if a < n && b < n {
+                    in_range.push(op);
+                    match op {
+                        EdgeOp::Insert(a, b) => mirror.insert_edge(a, b),
+                        EdgeOp::Delete(a, b) => mirror.remove_edge(a, b),
+                    };
+                }
+            }
+            let expected = replay_graph(&g0, &in_range).to_csr();
+            let snap = ds.snapshot();
+            assert_eq!(snap.epoch, batch + 1);
+            assert!(
+                *snap.graph == expected,
+                "{mode:?}: epoch {} graph differs from a fresh build",
+                snap.epoch
+            );
+            if snap.epoch.is_multiple_of(3) {
+                // Compaction just ran: the file holds this epoch's graph.
+                let (epoch, on_disk) =
+                    egobtw_service::wal::latest_snapshot(&dir.path().join("e")).unwrap();
+                assert_eq!(epoch, snap.epoch);
+                assert!(
+                    on_disk == expected,
+                    "{mode:?}: snapshot file at epoch {epoch}"
+                );
+            }
+        }
+        assert_eq!(ds.wal_records(), 2, "two batches past the last compaction");
+        drop(ds);
+        let (rec, report) = Dataset::recover("e", &cfg).unwrap();
+        assert_eq!((report.snapshot_epoch, report.replayed), (12, 2));
+        assert!(
+            *rec.snapshot().graph == replay_graph(&g0, &in_range).to_csr(),
+            "{mode:?}: recovered graph differs from a fresh build"
+        );
+    }
+}

@@ -232,3 +232,31 @@ fn stats_reports_search_work_totals() {
         .unwrap_or_else(|| panic!("{after}"));
     assert!(exact > 0, "compute_all touches every ego: {after}");
 }
+
+/// Every UPDATE that publishes an epoch times that publish (the CSR row
+/// patch plus the pointer swap) exactly once — including a batch whose
+/// ops all skip, which still publishes a new epoch.
+#[test]
+fn publish_latency_counts_every_update() {
+    let service = service_with_graph("p");
+    let updates = [
+        "UPDATE p +0,1 +2,3",
+        "UPDATE p -0,1",
+        "UPDATE p +2,3 +5,5", // duplicate insert and self-loop: all skipped
+        "UPDATE p -2,3 +0,39",
+    ];
+    for line in updates {
+        let reply = service.handle_line(line);
+        assert!(reply.starts_with("OK"), "{line}: {reply}");
+    }
+    let expo = prometheus::parse(&service.handle_line("METRICS")).unwrap();
+    assert!(
+        expo.validate(&["egobtw_publish_latency_ns"]).is_empty(),
+        "publish histogram family present and well-formed"
+    );
+    let publish = expo
+        .histogram("egobtw_publish_latency_ns", &[("dataset", "p")])
+        .expect("publish latency series for dataset p");
+    assert_eq!(publish.count, updates.len() as u64);
+    assert!(publish.sum > 0.0);
+}
