@@ -11,7 +11,8 @@
 //!                   bias | stale-graph | delta-stale-pair |
 //!                   delta-missed-ego | delta-no-recert |
 //!                   approx-skip-hub | approx-no-variance |
-//!                   approx-boundary-off) to demonstrate detection +
+//!                   approx-boundary-off | opt-double-credit) to
+//!                   demonstrate detection +
 //!                   shrinking; the run is then EXPECTED to fail
 //!   --approx-trials N
 //!                   repeated-trials δ-check: run the honest approx

@@ -15,6 +15,7 @@
 use crate::case::Case;
 use crate::compare::{check_topk, check_topk_statistical, REL_TOL};
 use egobtw_core::approx::{approx_topk_with_fault, ApproxFault, ApproxParams, SamplingStrategy};
+use egobtw_core::opt_search::{opt_bsearch_with_fault, OptFault, OptParams};
 use egobtw_core::registry::{builtin_engines, topk_from_scores, EngineKind, RegisteredEngine};
 use egobtw_dynamic::{DeltaFault, DeltaIndex, LazyTopK, LocalIndex};
 use egobtw_graph::{CsrGraph, VertexId};
@@ -331,6 +332,11 @@ pub enum Mutation {
     /// entry past the sound confidence boundary is marked certified.
     /// Caught deterministically by the certificate-soundness re-check.
     ApproxBoundaryOff,
+    /// OptBSearch with [`OptFault::DoubleCredit`] planted: every
+    /// identified ego edge lowers the Lemma 3 bound twice, so the bound
+    /// can fall below `CB` and the search prunes or stops before a true
+    /// top-k member. Caught by membership / multiset checks.
+    OptDoubleCredit,
 }
 
 impl Mutation {
@@ -346,6 +352,7 @@ impl Mutation {
             "approx-skip-hub" => Some(Mutation::ApproxSkipHub),
             "approx-no-variance" => Some(Mutation::ApproxNoVariance),
             "approx-boundary-off" => Some(Mutation::ApproxBoundaryOff),
+            "opt-double-credit" => Some(Mutation::OptDoubleCredit),
             _ => None,
         }
     }
@@ -353,7 +360,7 @@ impl Mutation {
     /// All mutation names, for usage text.
     pub const NAMES: &'static str = "tie-drop | bias | stale-graph | delta-stale-pair | \
          delta-missed-ego | delta-no-recert | approx-skip-hub | approx-no-variance | \
-         approx-boundary-off";
+         approx-boundary-off | opt-double-credit";
 
     /// The fault to plant into a [`DeltaIndex`], for the delta mutants.
     fn delta_fault(self) -> Option<DeltaFault> {
@@ -381,7 +388,8 @@ impl Mutation {
 /// the real `DeltaIndex` replay with the corresponding fault planted
 /// *inside* its update path; the `Approx*` ones run the real sampler
 /// (deep forced-sampling configuration) with the fault planted inside its
-/// estimation loop, checked against the full statistical contract.
+/// estimation loop, checked against the full statistical contract; the
+/// `Opt*` one runs the real OptBSearch with its bound bookkeeping broken.
 pub struct FaultyOracle(pub Mutation);
 
 impl FaultyOracle {
@@ -418,6 +426,15 @@ impl Oracle for FaultyOracle {
                 idx.apply(op);
             }
             return idx.top_k();
+        }
+        if self.0 == Mutation::OptDoubleCredit {
+            return opt_bsearch_with_fault(
+                final_g,
+                case.k,
+                OptParams::default(),
+                OptFault::DoubleCredit,
+            )
+            .entries;
         }
         let g = match self.0 {
             Mutation::StaleGraph => case.initial(),

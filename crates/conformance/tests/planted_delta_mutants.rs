@@ -1,12 +1,13 @@
-//! The stress gate must catch — and shrink — every planted delta mutant.
+//! The stress gate must catch — and shrink — every planted delta mutant,
+//! and OptBSearch's planted bound mutant.
 //!
 //! This is the in-repo mirror of the CI planted-bug checks: for each of
-//! the three delta-specific faults, sweep the same seeded scenario space
-//! the stress binary uses (seed 42) until the mutant diverges from the
-//! reference truth, then run the greedy shrinker on the failing case and
-//! assert the minimal case still fails. A mutant that survives the sweep,
-//! or a shrink that loses the failure, means the conformance net has a
-//! delta-shaped hole.
+//! the three delta-specific faults and the double-credited Lemma 3 bound,
+//! sweep the same seeded scenario space the stress binary uses (seed 42)
+//! until the mutant diverges from the reference truth, then run the
+//! greedy shrinker on the failing case and assert the minimal case still
+//! fails. A mutant that survives the sweep, or a shrink that loses the
+//! failure, means the conformance net has a hole.
 
 use conformance::{check_case_with, scenario, shrink, FaultyOracle, Mutation, Oracle};
 
@@ -51,4 +52,9 @@ fn missed_ego_is_caught_and_shrunk() {
 #[test]
 fn no_recert_is_caught_and_shrunk() {
     catch_and_shrink(Mutation::DeltaNoRecert);
+}
+
+#[test]
+fn opt_double_credit_is_caught_and_shrunk() {
+    catch_and_shrink(Mutation::OptDoubleCredit);
 }

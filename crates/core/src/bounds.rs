@@ -6,7 +6,9 @@
 //!   information already identified in `S_p` (edges found between
 //!   neighbors, connectors found for non-adjacent pairs). It equals `CB(p)`
 //!   exactly once `S_p` is complete, and never increases as information
-//!   arrives — the property OptBSearch's lazy heap relies on.
+//!   arrives — the property OptBSearch's lazy heap relies on. OptBSearch
+//!   keeps only the identified-edge part, as O(1) counters
+//!   (`ego_kernel::EgoCompletion::bound`).
 
 use crate::smap::PairMap;
 use egobtw_graph::{CsrGraph, VertexId};

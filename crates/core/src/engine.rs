@@ -1,6 +1,6 @@
-//! The shared triangle-driven engine behind Algorithms 1–3.
+//! The shared triangle-driven engine behind BaseBSearch (Algorithm 1).
 //!
-//! All three algorithms reduce to one primitive: *process a triangle*.
+//! The engine reduces the search to one primitive: *process a triangle*.
 //! Processing triangle `{a,b,c}`:
 //!
 //! 1. writes the three edge entries (`S_a(b,c) = S_b(a,c) = S_c(a,b) = 0`);
@@ -17,20 +17,19 @@
 //! a vertex's map `S_u` is complete exactly when every triangle containing
 //! `u` has been processed.
 //!
-//! * BaseBSearch achieves completeness by visiting vertices in the total
-//!   order and processing the triangles each vertex *leads*
-//!   ([`Engine::process_vertex_in_order`]; the caller builds the order and
-//!   the orientation, which OptBSearch never reads);
-//! * OptBSearch calls [`Engine::complete_vertex`] (the paper's EgoBWCal),
-//!   which processes exactly the still-unprocessed triangles containing
-//!   the vertex, wherever the search has wandered so far.
+//! BaseBSearch achieves completeness by visiting vertices in the total
+//! order and processing the triangles each vertex *leads*
+//! ([`Engine::process_vertex_in_order`]; the caller builds the order and
+//! the orientation).
+//!
+//! OptBSearch does not use this engine: it completes egos out of order
+//! with the ego-local kernel ([`crate::ego_kernel`]), which on hub-heavy
+//! graphs costs a fraction of pushing every diamond into hashed maps.
 
 use crate::smap::SMapStore;
 use crate::stats::SearchStats;
 use egobtw_graph::triangle::intersect_rank_sorted;
-use egobtw_graph::{
-    pack_pair, CsrGraph, DegreeOrder, FxHashMap, FxHashSet, OrientedGraph, VertexId,
-};
+use egobtw_graph::{pack_pair, CsrGraph, DegreeOrder, FxHashMap, OrientedGraph, VertexId};
 
 /// Shared state of one search over one graph.
 pub struct Engine<'g> {
@@ -39,10 +38,6 @@ pub struct Engine<'g> {
     /// Per-edge list of common neighbors already seen in processed
     /// triangles (`rd` in Algorithm 3).
     cn: FxHashMap<u64, Vec<VertexId>>,
-    /// `B` array of the paper: vertices whose `CB` is exact.
-    completed: Vec<bool>,
-    /// Cached exact values for completed vertices (NaN = not computed).
-    cb_cache: Vec<f64>,
     tri_buf: Vec<(VertexId, VertexId)>,
     scratch: Vec<VertexId>,
     /// Work counters for the current run.
@@ -57,8 +52,6 @@ impl<'g> Engine<'g> {
             g,
             store: SMapStore::new(g.n()),
             cn: FxHashMap::default(),
-            completed: vec![false; g.n()],
-            cb_cache: vec![f64::NAN; g.n()],
             tri_buf: Vec::new(),
             scratch: Vec::new(),
             stats: SearchStats::default(),
@@ -73,17 +66,6 @@ impl<'g> Engine<'g> {
     /// Read access to the map store (tests and harnesses).
     pub fn store(&self) -> &SMapStore {
         &self.store
-    }
-
-    /// Whether `CB(u)` has been computed exactly.
-    #[inline]
-    pub fn is_completed(&self, u: VertexId) -> bool {
-        self.completed[u as usize]
-    }
-
-    /// Exact `CB(u)` if it has been computed.
-    pub fn cached_cb(&self, u: VertexId) -> Option<f64> {
-        self.completed[u as usize].then(|| self.cb_cache[u as usize])
     }
 
     /// The dynamic upper bound `ũb(u)` (Lemma 3) from the current partial
@@ -141,60 +123,11 @@ impl<'g> Engine<'g> {
         self.scratch = scratch;
     }
 
-    /// Finalizes `CB(u)` assuming `S_u` is already complete (BaseBSearch's
-    /// in-order guarantee). Debug builds verify the guarantee against the
-    /// naive oracle.
+    /// Reads off `CB(u)` assuming `S_u` is already complete (BaseBSearch's
+    /// in-order guarantee).
     pub fn finalize_in_order(&mut self, u: VertexId) -> f64 {
-        debug_assert!(!self.completed[u as usize]);
-        let cb = self.dynamic_bound(u);
-        self.completed[u as usize] = true;
-        self.cb_cache[u as usize] = cb;
         self.stats.exact_computations += 1;
-        cb
-    }
-
-    /// EgoBWCal (Algorithm 3): completes `S_u` by processing exactly the
-    /// unprocessed triangles containing `u`, then returns the exact
-    /// `CB(u)`. Safe to call in any order, any number of times (idempotent
-    /// after the first call); also tightens other vertices' dynamic bounds
-    /// as a side effect, which is what makes OptBSearch's bound "dynamic".
-    pub fn complete_vertex(&mut self, u: VertexId) -> f64 {
-        if self.completed[u as usize] {
-            return self.cb_cache[u as usize];
-        }
-        let mut full = std::mem::take(&mut self.scratch);
-        let mut seen: FxHashSet<VertexId> = FxHashSet::default();
-        let mut fresh: Vec<(VertexId, VertexId)> = Vec::new();
-        for idx in 0..self.g.degree(u) {
-            let b = self.g.neighbors(u)[idx];
-            full.clear();
-            // Hybrid dispatch: hub rows answer with bit-probes instead of
-            // rescanning the long sorted slice (EgoBWCal's hot query).
-            self.g.common_neighbors_into(u, b, &mut full);
-            seen.clear();
-            if let Some(list) = self.cn.get(&pack_pair(u, b)) {
-                if list.len() == full.len() {
-                    continue; // every triangle on edge (u,b) already done
-                }
-                seen.extend(list.iter().copied());
-            }
-            fresh.extend(
-                full.iter()
-                    .copied()
-                    .filter(|y| !seen.contains(y))
-                    .map(|y| (b, y)),
-            );
-            for &(b2, y) in fresh.iter() {
-                self.process_triangle(u, b2, y);
-            }
-            fresh.clear();
-        }
-        self.scratch = full;
-        self.completed[u as usize] = true;
-        self.stats.exact_computations += 1;
-        let cb = self.dynamic_bound(u);
-        self.cb_cache[u as usize] = cb;
-        cb
+        self.dynamic_bound(u)
     }
 }
 
@@ -224,15 +157,6 @@ mod tests {
         }
     }
 
-    /// Out-of-order completion (OptBSearch style) matches the oracle.
-    fn check_completion(g: &CsrGraph, visit: impl Iterator<Item = VertexId>) {
-        let mut e = Engine::new(g);
-        for u in visit {
-            let cb = e.complete_vertex(u);
-            assert_close(cb, ego_betweenness_of(g, u), &format!("vertex {u}"));
-        }
-    }
-
     #[test]
     fn ordered_matches_oracle_on_classics() {
         for g in [
@@ -253,52 +177,10 @@ mod tests {
     }
 
     #[test]
-    fn completion_any_order_matches_oracle() {
-        let g = toy::paper_graph();
-        // Forward, reverse, and a shuffled visit order.
-        check_completion(&g, 0..g.n() as VertexId);
-        check_completion(&g, (0..g.n() as VertexId).rev());
-        let weird = [5u32, 9, 0, 15, 8, 7, 3, 2, 11, 1, 6, 4, 13, 12, 14, 10];
-        check_completion(&g, weird.into_iter());
-    }
-
-    #[test]
-    fn completion_is_idempotent() {
-        let g = classic::karate_club();
-        let mut e = Engine::new(&g);
-        let first = e.complete_vertex(0);
-        let tris = e.stats.triangles_processed;
-        let second = e.complete_vertex(0);
-        assert_eq!(first, second);
-        assert_eq!(e.stats.triangles_processed, tris, "no re-processing");
-        assert_eq!(e.stats.exact_computations, 1);
-    }
-
-    #[test]
-    fn mixed_ordered_and_completion() {
-        // Interleave the two entry points: complete some vertices out of
-        // order, then run the remaining ordered sweep via completion.
-        let g = classic::karate_club();
-        let mut e = Engine::new(&g);
-        e.complete_vertex(33);
-        e.complete_vertex(0);
-        for u in 0..g.n() as VertexId {
-            let cb = e.complete_vertex(u);
-            assert_close(cb, ego_betweenness_of(&g, u), &format!("v{u}"));
-        }
-        // Every triangle processed exactly once overall.
-        assert_eq!(
-            e.stats.triangles_processed,
-            egobtw_graph::triangle::count_triangles(&g)
-        );
-    }
-
-    #[test]
     fn random_graphs_match_oracle() {
         for seed in 0..5 {
             let g = gnp(40, 0.15, seed);
             check_ordered(&g);
-            check_completion(&g, (0..g.n() as VertexId).rev());
         }
     }
 
@@ -307,29 +189,25 @@ mod tests {
         // Skewed R-MAT carries bitmap rows, so the diamond check's
         // `has_edge` takes its hub bit-probe branch here (the gnp and
         // classic graphs above have no hubs).
-        use rand::seq::SliceRandom;
-        use rand::SeedableRng;
         for seed in 0..3 {
             let g = egobtw_gen::rmat(9, 4, egobtw_gen::rmat::RmatParams::skewed(), seed);
             assert!(g.hub_count() > 0, "seed {seed}: no hub rows");
-            let n = g.n() as VertexId;
             check_ordered(&g);
-            check_completion(&g, 0..n);
-            check_completion(&g, (0..n).rev());
-            let mut shuffled: Vec<VertexId> = (0..n).collect();
-            shuffled.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
-            check_completion(&g, shuffled.into_iter());
         }
     }
 
     #[test]
     fn dynamic_bound_dominates_cb_and_tightens() {
+        // Ordered processing fills other vertices' maps ahead of their
+        // turn; their partial-map bounds stay valid and only fall.
         let g = toy::paper_graph();
         let mut e = Engine::new(&g);
+        let order = DegreeOrder::new(&g);
+        let og = OrientedGraph::new(&g, &order);
         let truth: Vec<f64> = (0..16).map(|v| ego_betweenness_of(&g, v)).collect();
         let mut prev: Vec<f64> = (0..16u32).map(|v| e.dynamic_bound(v)).collect();
-        for v in [toy::ids::C, toy::ids::I, toy::ids::F, toy::ids::X] {
-            e.complete_vertex(v);
+        for v in order.iter() {
+            e.process_vertex_in_order(&order, &og, v);
             for u in 0..16u32 {
                 let b = e.dynamic_bound(u);
                 assert!(
@@ -345,24 +223,5 @@ mod tests {
                 prev[u as usize] = b;
             }
         }
-    }
-
-    #[test]
-    fn paper_example4_bound_after_c_and_i() {
-        // Fig. 3(a): after computing c and i exactly, the paper's trace
-        // refreshes f's dynamic bound to 23/2. Our engine shares *all*
-        // triangle information discovered by EgoBWCal (the paper's
-        // identified-information propagation is a subset), so our bound at
-        // the same point is at least as tight — and still a valid upper
-        // bound on CB(f) = 11. In fact the three triangles containing f
-        // all touch c or i, so here the bound is already exact.
-        let g = toy::paper_graph();
-        let mut e = Engine::new(&g);
-        e.complete_vertex(toy::ids::C);
-        e.complete_vertex(toy::ids::I);
-        let b = e.dynamic_bound(toy::ids::F);
-        assert!(b <= 23.0 / 2.0 + 1e-9, "no looser than the paper: {b}");
-        assert!(b >= 11.0 - 1e-9, "still an upper bound on CB(f): {b}");
-        assert_close(b, 11.0, "all of f's triangles touch c or i");
     }
 }

@@ -15,9 +15,12 @@
 //!   oracles;
 //! * [`smap`] — the per-vertex pair-count maps `S_u`, the shared data
 //!   structure behind Algorithms 1–3;
-//! * [`engine`] — the unified triangle-driven engine: ordered processing
-//!   (BaseBSearch), on-demand ego completion (EgoBWCal), and diamond
-//!   bookkeeping that counts each connector exactly once;
+//! * [`engine`] — the triangle-driven engine behind BaseBSearch: ordered
+//!   processing with diamond bookkeeping that counts each connector
+//!   exactly once;
+//! * [`ego_kernel`] — the dense ego-local kernel (EgoBWCal) behind
+//!   OptBSearch and every per-ego caller, and OptBSearch's identified-edge
+//!   counters that feed Lemma 3;
 //! * [`bounds`] — the static upper bound `ub` (Lemma 2) and the dynamic,
 //!   monotonically tightening bound `ũb` (Lemma 3);
 //! * [`cancel`] — the cooperative [`Cancel`] token (explicit flag +
@@ -59,6 +62,7 @@ pub mod base_search;
 pub mod bounds;
 pub mod cancel;
 pub mod compute_all;
+pub mod ego_kernel;
 pub mod engine;
 pub mod naive;
 pub mod opt_search;
@@ -75,9 +79,12 @@ pub use approx::{
 pub use base_search::base_bsearch;
 pub use cancel::{Cancel, Cancelled};
 pub use compute_all::{compute_all, compute_all_cancellable};
+pub use ego_kernel::EgoKernel;
 pub use engine::Engine;
 pub use naive::{compute_all_naive, compute_all_naive_cancellable, ego_betweenness_of, EgoView};
-pub use opt_search::{opt_bsearch, opt_bsearch_cancellable, OptParams};
+pub use opt_search::{
+    opt_bsearch, opt_bsearch_cancellable, opt_bsearch_with_fault, OptFault, OptParams,
+};
 pub use registry::{builtin_engines, topk_from_scores, EngineKind, RegisteredEngine};
 pub use stats::SearchStats;
 pub use topk::{TopKSet, TopkResult};

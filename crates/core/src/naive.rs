@@ -1,22 +1,26 @@
 //! Per-ego ego-betweenness: the "straightforward algorithm".
 //!
-//! [`ego_betweenness_of`] materializes one vertex's ego network as a local
-//! bitset adjacency matrix and evaluates Lemma 2 directly:
+//! [`ego_betweenness_of`] evaluates one vertex's ego network directly by
+//! Lemma 2:
 //!
 //! ```text
 //! CB(p) = Σ over non-adjacent neighbor pairs (u,v) of 1 / (1 + |N(u) ∩ N(v) ∩ N(p)|)
 //! ```
 //!
-//! This serves three roles: the paper's Section-I straw-man baseline
-//! ("compute every ego network"), the recompute-on-demand kernel of the
-//! lazy top-k maintainer, and — together with the even simpler
-//! [`ego_betweenness_reference`] — an independent oracle for testing the
-//! shared-work engine.
+//! It is a one-shot wrapper over the ego-local kernel
+//! ([`crate::ego_kernel::EgoKernel`]) that OptBSearch completes its egos
+//! with, and serves the daemon's `SCORE`, the recompute-on-demand lazy
+//! top-k maintainer, the approx engine's exact fallback, and the paper's
+//! Section-I straw-man baseline ("compute every ego network",
+//! [`compute_all_naive`]). [`ego_betweenness_reference`] shares no code
+//! with it and is the independent oracle the tests compare against.
 //!
 //! Both functions are generic over [`EgoView`] so they run on the static
 //! [`CsrGraph`] and the mutable [`DynGraph`] alike.
 
-use egobtw_graph::{CsrGraph, DynGraph, FxHashMap, VertexId};
+use crate::ego_kernel::EgoKernel;
+use egobtw_graph::{CsrGraph, DynGraph, VertexId};
+use std::cell::RefCell;
 
 /// Minimal adjacency interface needed to evaluate one ego network.
 pub trait EgoView {
@@ -95,59 +99,18 @@ impl EgoView for DynGraph {
     }
 }
 
-/// Exact `CB(p)` via a local bitset ego-adjacency matrix.
+/// Exact `CB(p)`: a one-shot call into this thread's [`EgoKernel`], so
+/// repeated calls reuse its buffers and allocate nothing per call once
+/// they have grown (the position array to the largest graph seen).
 ///
-/// Cost: `O(Σ_{w∈N(p)} d(w))` to build the local matrix plus
-/// `O(d(p)² · d(p)/64)` for the pairwise popcount sweep — the per-ego cost
-/// the paper's shared-work engine amortizes away.
+/// Cost: one intersection per neighbour to build the ego's rows, then
+/// the cheaper of the kernel's two evaluators, at most
+/// `O(d(p)² · d(p)/64)`.
 pub fn ego_betweenness_of<V: EgoView + ?Sized>(g: &V, p: VertexId) -> f64 {
-    let d = g.degree_of(p);
-    if d < 2 {
-        return 0.0;
+    thread_local! {
+        static KERNEL: RefCell<EgoKernel> = RefCell::new(EgoKernel::new());
     }
-    // Sorted neighbor list → deterministic float summation order.
-    let mut nbrs: Vec<VertexId> = Vec::with_capacity(d);
-    g.for_each_neighbor(p, &mut |v| nbrs.push(v));
-    nbrs.sort_unstable();
-
-    let mut index: FxHashMap<VertexId, u32> = FxHashMap::default();
-    index.reserve(d);
-    for (i, &v) in nbrs.iter().enumerate() {
-        index.insert(v, i as u32);
-    }
-
-    // rows[i] = bitset over neighbor indices adjacent to nbrs[i], i.e.
-    // the common neighborhood N(p) ∩ N(nbrs[i]) re-indexed locally —
-    // served by the view's intersection kernel (hybrid dispatch on CSR).
-    let words = d.div_ceil(64);
-    let mut rows = vec![0u64; d * words];
-    let mut common: Vec<VertexId> = Vec::new();
-    for (i, &v) in nbrs.iter().enumerate() {
-        common.clear();
-        g.common_neighbors_sorted_into(p, v, &mut common);
-        for w in &common {
-            let j = *index.get(w).expect("common neighbor lies in the ego");
-            rows[i * words + (j as usize >> 6)] |= 1u64 << (j & 63);
-        }
-    }
-
-    let mut cb = 0.0;
-    for i in 0..d {
-        let row_i = &rows[i * words..(i + 1) * words];
-        for j in i + 1..d {
-            if row_i[j >> 6] & (1u64 << (j & 63)) != 0 {
-                continue; // adjacent pair contributes 0
-            }
-            let row_j = &rows[j * words..(j + 1) * words];
-            let connectors: u32 = row_i
-                .iter()
-                .zip(row_j)
-                .map(|(a, b)| (a & b).count_ones())
-                .sum();
-            cb += 1.0 / (f64::from(connectors) + 1.0);
-        }
-    }
-    cb
+    KERNEL.with(|k| k.borrow_mut().score(g, p))
 }
 
 /// Dead-simple reference implementation (hash membership, no bitsets).
@@ -181,9 +144,8 @@ pub fn ego_betweenness_reference<V: EgoView + ?Sized>(g: &V, p: VertexId) -> f64
 /// computation per vertex. This is the algorithm the paper's introduction
 /// dismisses as too costly — kept as a measured baseline and oracle.
 pub fn compute_all_naive(g: &CsrGraph) -> Vec<f64> {
-    (0..g.n() as VertexId)
-        .map(|p| ego_betweenness_of(g, p))
-        .collect()
+    let mut kernel = EgoKernel::new();
+    (0..g.n() as VertexId).map(|p| kernel.score(g, p)).collect()
 }
 
 /// [`compute_all_naive`] polling `cancel` every few hundred egos, so a
@@ -192,12 +154,13 @@ pub fn compute_all_naive_cancellable(
     g: &CsrGraph,
     cancel: &crate::cancel::Cancel,
 ) -> Result<Vec<f64>, crate::cancel::Cancelled> {
+    let mut kernel = EgoKernel::new();
     let mut out = Vec::with_capacity(g.n());
     for p in 0..g.n() as VertexId {
         if p % 256 == 0 {
             cancel.check()?;
         }
-        out.push(ego_betweenness_of(g, p));
+        out.push(kernel.score(g, p));
     }
     Ok(out)
 }

@@ -10,9 +10,13 @@
 pub struct SearchStats {
     /// Vertices whose `CB` was computed exactly (Table II's metric).
     pub exact_computations: usize,
-    /// Triangles processed by the engine.
+    /// Triangle work. OptBSearch counts the triangles through each ego it
+    /// computes (`Σ|L_a|/2` per ego, so a triangle shared by two computed
+    /// egos counts twice); BaseBSearch counts each processed triangle
+    /// once; `compute_all` counts corner writes, three per triangle.
     pub triangles_processed: u64,
-    /// Diamond (connector) discoveries — each bumps two maps.
+    /// Diamond (connector) discoveries of the S-map engines — each bumps
+    /// two maps. OptBSearch's kernel keeps no maps and reports 0.
     pub diamonds_counted: u64,
     /// Vertices pruned by a bound without exact computation.
     pub pruned: usize,

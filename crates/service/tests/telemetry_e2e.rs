@@ -233,6 +233,37 @@ fn stats_reports_search_work_totals() {
     assert!(exact > 0, "compute_all touches every ego: {after}");
 }
 
+/// OptBSearch counts the triangles its kernel enumerates, so an
+/// engine-path TOPK moves TRACE's `triangles`, STATS and the per-engine
+/// counter.
+#[test]
+fn opt_search_reports_triangle_work() {
+    let service = service_with_graph("o"); // gnp(40, 0.15) has triangles
+    let traced = service.handle_line("TRACE TOPK o 5 core::opt_search(θ=1.05)");
+    let (_, trace) = traced.split_once(" trace=").expect("trace token");
+    let triangles: u64 = trace
+        .split(',')
+        .find_map(|part| part.strip_prefix("triangles:"))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no triangle work in {trace}"));
+    assert!(triangles > 0, "{trace}");
+
+    let stats = service.handle_line("STATS o");
+    assert!(
+        stats.contains(&format!(" triangles={triangles}")),
+        "{stats}"
+    );
+    let expo = prometheus::parse(&service.handle_line("METRICS")).unwrap();
+    let exported = expo
+        .value(
+            "egobtw_engine_triangles_total",
+            &[("engine", "core::opt_search(θ=1.05)")],
+        )
+        .unwrap()
+        .expect("per-engine series");
+    assert_eq!(exported as u64, triangles);
+}
+
 /// Every UPDATE that publishes an epoch times that publish (the CSR row
 /// patch plus the pointer swap) exactly once — including a batch whose
 /// ops all skip, which still publishes a new epoch.
