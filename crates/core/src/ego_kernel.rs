@@ -269,7 +269,7 @@ pub(crate) struct EgoCompletion {
 impl EgoCompletion {
     /// Nothing completed over a graph of `n` vertices.
     #[cfg(test)]
-    fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Self::with_credit(n, 1)
     }
 

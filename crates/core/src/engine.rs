@@ -134,6 +134,7 @@ impl<'g> Engine<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ego_kernel::EgoCompletion;
     use crate::naive::ego_betweenness_of;
     use egobtw_gen::{classic, gnp, toy};
 
@@ -145,16 +146,19 @@ mod tests {
     }
 
     /// Ordered processing (BaseBSearch style) matches the oracle on every
-    /// vertex.
-    fn check_ordered(g: &CsrGraph) {
+    /// vertex; returns the values by vertex id.
+    fn check_ordered(g: &CsrGraph) -> Vec<f64> {
         let mut e = Engine::new(g);
         let order = DegreeOrder::new(g);
         let og = OrientedGraph::new(g, &order);
+        let mut cb_of = vec![0.0; g.n()];
         for u in order.iter() {
             e.process_vertex_in_order(&order, &og, u);
             let cb = e.finalize_in_order(u);
             assert_close(cb, ego_betweenness_of(g, u), &format!("vertex {u}"));
+            cb_of[u as usize] = cb;
         }
+        cb_of
     }
 
     #[test]
@@ -174,6 +178,51 @@ mod tests {
     #[test]
     fn ordered_matches_oracle_on_paper_graph() {
         check_ordered(&toy::paper_graph());
+    }
+
+    /// Out-of-order completion (OptBSearch's entry point, the ego-local
+    /// kernel) agrees with this engine's ordered sweep and with the
+    /// oracle, whatever the visit order.
+    #[test]
+    fn completion_any_order_matches_oracle() {
+        let g = toy::paper_graph();
+        let n = g.n() as VertexId;
+        let ordered = check_ordered(&g);
+        let weird = vec![5u32, 9, 0, 15, 8, 7, 3, 2, 11, 1, 6, 4, 13, 12, 14, 10];
+        for visit in [(0..n).collect(), (0..n).rev().collect(), weird] {
+            let mut done = EgoCompletion::new(g.n());
+            for u in visit {
+                let cb = done.complete(&g, u);
+                assert_close(cb, ordered[u as usize], &format!("vertex {u} vs sweep"));
+                assert_close(cb, ego_betweenness_of(&g, u), &format!("vertex {u}"));
+            }
+        }
+    }
+
+    /// Interleaves the two entry points on one graph: two egos completed
+    /// out of order first, then the ordered sweep, completing each vertex
+    /// as the sweep finalizes it. Both agree with the oracle; the sweep
+    /// processes every triangle exactly once and the completions
+    /// enumerate it once per corner.
+    #[test]
+    fn mixed_ordered_and_completion() {
+        let g = classic::karate_club();
+        let mut e = Engine::new(&g);
+        let order = DegreeOrder::new(&g);
+        let og = OrientedGraph::new(&g, &order);
+        let mut done = EgoCompletion::new(g.n());
+        done.complete(&g, 33);
+        done.complete(&g, 0);
+        for u in order.iter() {
+            e.process_vertex_in_order(&order, &og, u);
+            let truth = ego_betweenness_of(&g, u);
+            assert_close(e.finalize_in_order(u), truth, &format!("sweep v{u}"));
+            assert_close(done.complete(&g, u), truth, &format!("completion v{u}"));
+        }
+        let triangles = egobtw_graph::triangle::count_triangles(&g);
+        assert_eq!(e.stats.triangles_processed, triangles);
+        assert_eq!(done.stats.triangles_processed, 3 * triangles);
+        assert_eq!(done.stats.exact_computations, g.n());
     }
 
     #[test]

@@ -25,9 +25,9 @@
 //!   fires the session's [`Cancel`] token, and the engines abandon the
 //!   work at their next checkpoint.
 //! * **Graceful drain** — [`Server::drain`] stops accepting, refuses
-//!   queued sessions with `ERR draining`, lets in-flight frames finish
-//!   within the grace period, then hard-cancels stragglers (token +
-//!   socket shutdown) and joins every thread.
+//!   queued sessions with `ERR draining`, closes idle sessions, lets
+//!   in-flight frames finish within the grace period, then hard-cancels
+//!   stragglers (token + socket shutdown) and joins every thread.
 
 use crate::proto::{read_frame, write_frame};
 use crate::service::{Service, SHED_RETRY_MS};
@@ -82,7 +82,9 @@ struct SessionEntry {
     /// Serializes the watchdog's nonblocking-peek window against the
     /// worker resuming socket I/O: the worker takes it (briefly) when
     /// clearing `busy`, so the watchdog never leaves the socket in
-    /// nonblocking mode for a worker write to trip over.
+    /// nonblocking mode for a worker write to trip over. Setting `busy`
+    /// takes it too, so a drain's idle check never races a frame that
+    /// was just read.
     io_lock: Mutex<()>,
 }
 
@@ -248,9 +250,10 @@ impl Server {
         self.drain(grace);
     }
 
-    /// Stops accepting, refuses queued sessions with `ERR draining`, lets
-    /// in-flight frames finish for up to `grace`, then hard-cancels the
-    /// stragglers (cancel token + socket shutdown) and joins every thread.
+    /// Stops accepting, refuses queued sessions with `ERR draining`,
+    /// closes idle sessions, lets in-flight frames finish for up to
+    /// `grace`, then hard-cancels the stragglers (cancel token + socket
+    /// shutdown) and joins every thread.
     pub fn drain(mut self, grace: Duration) {
         self.shutdown.store(true, Ordering::SeqCst);
         // Unblock the acceptor's blocking accept with a throwaway
@@ -260,7 +263,22 @@ impl Server {
             let _ = h.join(); // drops tx: the queue stops growing
         }
         let deadline = Instant::now() + grace;
-        while Instant::now() < deadline && self.workers.iter().any(|h| !h.is_finished()) {
+        loop {
+            // An idle session (its worker blocked reading the next frame)
+            // has nothing in flight: closing its read side frees the
+            // worker now instead of at the end of the grace period. A
+            // session inside a frame is left alone; it bows out after
+            // writing the response. Repeated every tick to catch sessions
+            // a worker picked up just before the drain began.
+            for entry in self.registry.lock().unwrap().values() {
+                let _io = entry.io_lock.lock().unwrap();
+                if !entry.busy.load(Ordering::SeqCst) {
+                    let _ = entry.stream.shutdown(Shutdown::Read);
+                }
+            }
+            if Instant::now() >= deadline || self.workers.iter().all(|h| h.is_finished()) {
+                break;
+            }
             std::thread::sleep(Duration::from_millis(10));
         }
         // Grace spent: abandon whatever is still running. The token stops
@@ -353,7 +371,11 @@ fn serve_connection(
     );
     let mut first_frame = true;
     while let Some(payload) = read_frame(&mut reader)? {
-        entry.busy.store(true, Ordering::SeqCst);
+        {
+            // Under the lock so a drain never sees a read frame as idle.
+            let _io = entry.io_lock.lock().unwrap();
+            entry.busy.store(true, Ordering::SeqCst);
+        }
         // Queue wait (accept → worker pickup) belongs to the session's
         // first frame only; later frames never sat in the accept queue.
         let wait = if first_frame { queue_ns } else { 0 };
