@@ -433,6 +433,7 @@ impl Oracle for FaultyOracle {
                 case.k,
                 OptParams::default(),
                 OptFault::DoubleCredit,
+                None,
             )
             .entries;
         }

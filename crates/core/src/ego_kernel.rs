@@ -27,11 +27,12 @@
 //! result does not depend on vertex labels.
 //!
 //! `EgoCompletion` is what OptBSearch keeps between exact computations:
-//! the kernel, which vertices are complete, and per vertex the number of
-//! its ego edges identified so far. Computing ego `u` enumerates every
-//! triangle `(u, a, b)`; each tells ego `a` that its neighbour pair
-//! `{u, b}` is adjacent. Whichever of `u` and `b` completes first credits
-//! it, so every ego edge is counted once, and
+//! which vertices are complete, and per vertex the number of its ego
+//! edges identified so far. It is fed the rows of whichever kernel scored
+//! an ego, so egos scored on helper threads are credited too. Computing
+//! ego `u` enumerates every triangle `(u, a, b)`; each tells ego `a` that
+//! its neighbour pair `{u, b}` is adjacent. Whichever of `u` and `b`
+//! completes first credits it, so every ego edge is counted once, and
 //! `ũb(v) = d(d−1)/2 − known[v]` is Lemma 3 over the identified edges at
 //! O(1) per refresh.
 
@@ -173,8 +174,37 @@ impl EgoKernel {
             .sum()
     }
 
-    /// Tallies every non-adjacent pair by its popcounted connectors.
+    /// Tallies every non-adjacent pair by its popcounted connectors, with
+    /// the `POPCNT` instruction where the CPU has it. The build targets
+    /// baseline x86-64, whose `count_ones` is a bit-twiddling sequence;
+    /// the counts are integers, so both paths tally the same histogram.
     fn bitset_sweep(&mut self) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("popcnt") {
+            // SAFETY: the CPU supports POPCNT, checked just above.
+            unsafe { self.bitset_sweep_popcnt() };
+            return;
+        }
+        self.bitset_sweep_portable();
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support POPCNT.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "popcnt")]
+    unsafe fn bitset_sweep_popcnt(&mut self) {
+        self.sweep_body();
+    }
+
+    fn bitset_sweep_portable(&mut self) {
+        self.sweep_body();
+    }
+
+    /// The sweep itself, inlined into each dispatch target so its
+    /// `count_ones` compiles to that target's instructions.
+    #[inline(always)]
+    fn sweep_body(&mut self) {
         let d = self.nbrs.len();
         let words = d.div_ceil(64);
         self.bits.clear();
@@ -251,11 +281,13 @@ impl EgoKernel {
     }
 }
 
-/// OptBSearch's exact-computation state: the kernel, which vertices are
-/// complete, and each vertex's count of identified ego edges, the input
-/// of its Lemma 3 bound (see the module docs).
+/// OptBSearch's exact-computation ledger: which vertices are complete,
+/// and each vertex's count of identified ego edges, the input of its
+/// Lemma 3 bound (see the module docs). It owns no kernel: whichever
+/// [`EgoKernel`] scored an ego hands its rows to [`Self::credit`], so
+/// egos scored on other threads are credited by the ledger's one owner,
+/// in whatever order they finish.
 pub(crate) struct EgoCompletion {
-    kernel: EgoKernel,
     completed: Vec<bool>,
     known: Vec<u64>,
     /// Added to `known` per identified edge: 1, or 2 under
@@ -275,7 +307,6 @@ impl EgoCompletion {
 
     pub(crate) fn with_credit(n: usize, credit: u64) -> Self {
         EgoCompletion {
-            kernel: EgoKernel::new(),
             completed: vec![false; n],
             known: vec![0; n],
             credit,
@@ -290,33 +321,39 @@ impl EgoCompletion {
         g.degree_bound(v) - self.known[v as usize] as f64
     }
 
-    /// EgoBWCal: computes `CB(u)` exactly and credits the ego edges its
-    /// triangles identify to the neighbours not yet complete. A repeated
-    /// call rescores `u` and changes nothing.
-    pub fn complete(&mut self, g: &CsrGraph, u: VertexId) -> f64 {
-        let cb = self.kernel.score(g, u);
+    /// EgoBWCal: computes `CB(u)` exactly on `kernel` and credits the ego
+    /// edges its triangles identify. A repeated call rescores `u` and
+    /// changes nothing.
+    pub fn complete(&mut self, kernel: &mut EgoKernel, g: &CsrGraph, u: VertexId) -> f64 {
+        let cb = kernel.score(g, u);
+        self.credit(kernel, u);
+        cb
+    }
+
+    /// Marks `u` complete and credits the ego edges its triangles identify
+    /// to the neighbours not yet complete; `kernel` last scored `u`. A
+    /// repeated call changes nothing.
+    pub fn credit(&mut self, kernel: &EgoKernel, u: VertexId) {
         if self.completed[u as usize] {
-            return cb;
+            return;
         }
         self.completed[u as usize] = true;
         self.stats.exact_computations += 1;
-        self.stats.triangles_processed += self.kernel.ego_edges() as u64;
-        let nbrs = self.kernel.neighbors();
+        self.stats.triangles_processed += kernel.ego_edges() as u64;
+        let nbrs = kernel.neighbors();
         for (i, &a) in nbrs.iter().enumerate() {
             if self.completed[a as usize] {
                 continue;
             }
             // Triangle (u, a, b): ego `a` learns that `{u, b}` is an edge,
             // unless `b` completed first and already said so.
-            let fresh = self
-                .kernel
+            let fresh = kernel
                 .row(i)
                 .iter()
                 .filter(|&&b| !self.completed[nbrs[b as usize] as usize])
                 .count() as u64;
             self.known[a as usize] += fresh * self.credit;
         }
-        cb
     }
 }
 
@@ -390,6 +427,52 @@ mod tests {
         }
     }
 
+    /// The sweep's histogram for `p`, dispatched (POPCNT where the CPU
+    /// has it) or portable.
+    fn sweep_hist(k: &mut EgoKernel, g: &CsrGraph, p: VertexId, portable: bool) -> Vec<u64> {
+        k.build_rows(g, p);
+        k.hist.clear();
+        k.hist.resize(k.nbrs.len().saturating_sub(1), 0);
+        if portable {
+            k.bitset_sweep_portable();
+        } else {
+            k.bitset_sweep();
+        }
+        k.hist.clone()
+    }
+
+    #[test]
+    fn dispatched_sweep_matches_portable_sweep() {
+        let mut graphs = vec![egobtw_gen::rmat(
+            9,
+            4,
+            egobtw_gen::rmat::RmatParams::skewed(),
+            0,
+        )];
+        for d in [63usize, 64, 65, 130] {
+            // Egos of degree d at vertex 0: a star's centre, and a
+            // near-complete ego whose pairs have up to d − 2 connectors.
+            graphs.push(classic::star(d + 1));
+            let complete = classic::complete(d + 1);
+            let dropped: Vec<_> = complete
+                .edges()
+                .filter(|&(a, b)| a.min(b) == 0 || ((a, b) != (1, 2) && (a + b) % 7 != 0))
+                .collect();
+            graphs.push(CsrGraph::from_edges(d + 1, &dropped));
+        }
+        let mut k = EgoKernel::new();
+        for (gi, g) in graphs.iter().enumerate() {
+            if gi > 0 {
+                assert!([63, 64, 65, 130].contains(&g.degree(0)), "graph {gi}");
+            }
+            for p in 0..g.n() as VertexId {
+                let portable = sweep_hist(&mut k, g, p, true);
+                let dispatched = sweep_hist(&mut k, g, p, false);
+                assert_eq!(dispatched, portable, "graph {gi}, vertex {p}");
+            }
+        }
+    }
+
     #[test]
     fn evaluators_run_on_dyn_graph() {
         let g = gnp(30, 0.25, 7);
@@ -415,8 +498,9 @@ mod tests {
     /// oracle's values.
     fn check_completion(g: &CsrGraph, visit: impl Iterator<Item = VertexId>) {
         let mut done = EgoCompletion::new(g.n());
+        let mut kernel = EgoKernel::new();
         for u in visit {
-            let cb = done.complete(g, u);
+            let cb = done.complete(&mut kernel, g, u);
             assert_close(cb, ego_betweenness_reference(g, u), &format!("vertex {u}"));
         }
     }
@@ -436,10 +520,11 @@ mod tests {
         // everything (completed or not).
         let g = classic::karate_club();
         let mut done = EgoCompletion::new(g.n());
-        done.complete(&g, 33);
-        done.complete(&g, 0);
+        let mut kernel = EgoKernel::new();
+        done.complete(&mut kernel, &g, 33);
+        done.complete(&mut kernel, &g, 0);
         for u in 0..g.n() as VertexId {
-            let cb = done.complete(&g, u);
+            let cb = done.complete(&mut kernel, &g, u);
             assert_close(cb, ego_betweenness_reference(&g, u), &format!("v{u}"));
         }
     }
@@ -463,10 +548,11 @@ mod tests {
     fn completion_is_idempotent() {
         let g = classic::karate_club();
         let mut done = EgoCompletion::new(g.n());
-        let first = done.complete(&g, 0);
+        let mut kernel = EgoKernel::new();
+        let first = done.complete(&mut kernel, &g, 0);
         let stats = done.stats;
         let known = done.known.clone();
-        let second = done.complete(&g, 0);
+        let second = done.complete(&mut kernel, &g, 0);
         assert_eq!(first, second);
         assert_eq!(done.stats, stats, "no second count");
         assert_eq!(done.known, known, "no second credit");
@@ -503,8 +589,9 @@ mod tests {
             let mut visit: Vec<VertexId> = (0..g.n() as VertexId).collect();
             visit.shuffle(&mut rand::rngs::StdRng::seed_from_u64(gi as u64));
             let mut done = EgoCompletion::new(g.n());
+            let mut kernel = EgoKernel::new();
             for u in visit {
-                done.complete(g, u);
+                done.complete(&mut kernel, g, u);
                 for v in 0..g.n() as VertexId {
                     if !done.completed[v as usize] {
                         assert_eq!(
@@ -524,12 +611,13 @@ mod tests {
             let n = g.n() as VertexId;
             let truth: Vec<f64> = (0..n).map(|v| ego_betweenness_reference(&g, v)).collect();
             let mut done = EgoCompletion::new(g.n());
+            let mut kernel = EgoKernel::new();
             let mut prev: Vec<f64> = (0..n).map(|v| done.bound(&g, v)).collect();
             for (v, p) in prev.iter().enumerate() {
                 assert_eq!(*p, g.degree_bound(v as VertexId), "starts at Lemma 2");
             }
             for u in (0..n).rev().step_by(3) {
-                done.complete(&g, u);
+                done.complete(&mut kernel, &g, u);
                 for v in (0..n).filter(|&v| !done.completed[v as usize]) {
                     let b = done.bound(&g, v);
                     let t = truth[v as usize];
@@ -550,8 +638,9 @@ mod tests {
         // 15 pairs, and c and i identify its three ego edges, leaving 12.
         let g = toy::paper_graph();
         let mut done = EgoCompletion::new(g.n());
-        done.complete(&g, toy::ids::C);
-        done.complete(&g, toy::ids::I);
+        let mut kernel = EgoKernel::new();
+        done.complete(&mut kernel, &g, toy::ids::C);
+        done.complete(&mut kernel, &g, toy::ids::I);
         let b = done.bound(&g, toy::ids::F);
         assert_eq!(b, 12.0);
         assert!(b >= 11.0, "still an upper bound on CB(f) = 11");

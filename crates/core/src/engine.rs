@@ -134,7 +134,7 @@ impl<'g> Engine<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ego_kernel::EgoCompletion;
+    use crate::ego_kernel::{EgoCompletion, EgoKernel};
     use crate::naive::ego_betweenness_of;
     use egobtw_gen::{classic, gnp, toy};
 
@@ -191,8 +191,9 @@ mod tests {
         let weird = vec![5u32, 9, 0, 15, 8, 7, 3, 2, 11, 1, 6, 4, 13, 12, 14, 10];
         for visit in [(0..n).collect(), (0..n).rev().collect(), weird] {
             let mut done = EgoCompletion::new(g.n());
+            let mut kernel = EgoKernel::new();
             for u in visit {
-                let cb = done.complete(&g, u);
+                let cb = done.complete(&mut kernel, &g, u);
                 assert_close(cb, ordered[u as usize], &format!("vertex {u} vs sweep"));
                 assert_close(cb, ego_betweenness_of(&g, u), &format!("vertex {u}"));
             }
@@ -211,13 +212,18 @@ mod tests {
         let order = DegreeOrder::new(&g);
         let og = OrientedGraph::new(&g, &order);
         let mut done = EgoCompletion::new(g.n());
-        done.complete(&g, 33);
-        done.complete(&g, 0);
+        let mut kernel = EgoKernel::new();
+        done.complete(&mut kernel, &g, 33);
+        done.complete(&mut kernel, &g, 0);
         for u in order.iter() {
             e.process_vertex_in_order(&order, &og, u);
             let truth = ego_betweenness_of(&g, u);
             assert_close(e.finalize_in_order(u), truth, &format!("sweep v{u}"));
-            assert_close(done.complete(&g, u), truth, &format!("completion v{u}"));
+            assert_close(
+                done.complete(&mut kernel, &g, u),
+                truth,
+                &format!("completion v{u}"),
+            );
         }
         let triangles = egobtw_graph::triangle::count_triangles(&g);
         assert_eq!(e.stats.triangles_processed, triangles);

@@ -28,7 +28,8 @@
 //!   serving layer can stop an abandoned or deadline-expired request;
 //! * [`base_search`] — **BaseBSearch** (Algorithm 1);
 //! * [`opt_search`] — **OptBSearch** (Algorithm 2) with the gradient ratio
-//!   `θ` and EgoBWCal (Algorithm 3);
+//!   `θ` and EgoBWCal (Algorithm 3), its exact computations spread over
+//!   helper threads that each own a kernel;
 //! * [`approx`] — adaptive pair-sampling engines with (ε, δ) rank
 //!   guarantees and per-vertex empirical-Bernstein confidence intervals,
 //!   for graphs the exact engines can't touch;

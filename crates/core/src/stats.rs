@@ -24,6 +24,9 @@ pub struct SearchStats {
     pub bound_refreshes: usize,
     /// Re-insertions into the lazy heap after a bound refresh.
     pub heap_reinserts: usize,
+    /// Of `exact_computations`, the egos OptBSearch's helper threads
+    /// computed off the calling thread (0 on a one-CPU caller).
+    pub helper_computations: usize,
 }
 
 impl SearchStats {
@@ -36,6 +39,7 @@ impl SearchStats {
         self.pruned += other.pruned;
         self.bound_refreshes += other.bound_refreshes;
         self.heap_reinserts += other.heap_reinserts;
+        self.helper_computations += other.helper_computations;
     }
 }
 
@@ -52,6 +56,7 @@ mod tests {
             pruned: 4,
             bound_refreshes: 5,
             heap_reinserts: 6,
+            helper_computations: 7,
         };
         a.merge(&a.clone());
         assert_eq!(a.exact_computations, 2);
@@ -60,5 +65,6 @@ mod tests {
         assert_eq!(a.pruned, 8);
         assert_eq!(a.bound_refreshes, 10);
         assert_eq!(a.heap_reinserts, 12);
+        assert_eq!(a.helper_computations, 14);
     }
 }

@@ -504,6 +504,8 @@ pub struct DatasetMetrics {
     pub pruned: Arc<Counter>,
     /// Triangles enumerated by engine computations.
     pub triangles: Arc<Counter>,
+    /// Of `exact`, the egos OptBSearch's helper threads computed.
+    pub helper_computations: Arc<Counter>,
     /// Current published epoch.
     pub epoch: Arc<Gauge>,
     /// Stale maintained members at the current epoch (lazy mode; 0
@@ -556,6 +558,10 @@ impl DatasetMetrics {
             triangles: counter(
                 "egobtw_work_triangles_total",
                 "Triangles enumerated by engine computations.",
+            ),
+            helper_computations: counter(
+                "egobtw_work_helper_computations_total",
+                "Exact computations run on OptBSearch helper threads.",
             ),
             epoch: registry.gauge("egobtw_dataset_epoch", "Current published epoch.", labels),
             stale_members: registry.gauge(

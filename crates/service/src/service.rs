@@ -175,6 +175,9 @@ pub enum Reply {
         pruned: u64,
         /// Triangles engines enumerated (cumulative).
         triangles: u64,
+        /// Of `exact`, the egos OptBSearch's helper threads computed
+        /// (cumulative).
+        helper_computations: u64,
     },
     /// LIST answer.
     List(
@@ -289,6 +292,7 @@ impl Reply {
                 exact,
                 pruned,
                 triangles,
+                helper_computations,
             } => format!(
                 "OK stats name={name} epoch={epoch} n={n} m={m} mode={} maintained={} \
                  stale_members={stale_members} ops_applied={ops_applied} \
@@ -296,7 +300,8 @@ impl Reply {
                  shard={shard} persisted={persisted} wal_records={wal_records} \
                  approx_samples={approx_samples} approx_rounds={approx_rounds} \
                  shed={shed} timeouts={timeouts} cancelled={cancelled} inflight={inflight} \
-                 exact={exact} pruned={pruned} triangles={triangles}",
+                 exact={exact} pruned={pruned} triangles={triangles} \
+                 helper_computations={helper_computations}",
                 mode.render(),
                 maintained.map_or_else(|| "none".into(), |l| l.to_string()),
             ),
@@ -557,10 +562,12 @@ impl Service {
         trace.work.pruned += stats.pruned as u64;
         trace.work.triangles += stats.triangles_processed;
         trace.work.bound_refreshes += stats.bound_refreshes as u64;
+        trace.work.helper_computations += stats.helper_computations as u64;
         let m = ds.metrics();
         m.exact.add(stats.exact_computations as u64);
         m.pruned.add(stats.pruned as u64);
         m.triangles.add(stats.triangles_processed);
+        m.helper_computations.add(stats.helper_computations as u64);
         let registry = self.metrics.registry();
         let labels: &[(&str, &str)] = &[("engine", engine_label)];
         registry
@@ -584,6 +591,13 @@ impl Service {
                 labels,
             )
             .add(stats.triangles_processed);
+        registry
+            .counter(
+                "egobtw_engine_helper_computations_total",
+                "Exact computations run on OptBSearch helper threads, by engine.",
+                labels,
+            )
+            .add(stats.helper_computations as u64);
     }
 
     fn run_engine_cached(
@@ -830,6 +844,7 @@ impl Service {
             exact: ds.metrics().exact.get(),
             pruned: ds.metrics().pruned.get(),
             triangles: ds.metrics().triangles.get(),
+            helper_computations: ds.metrics().helper_computations.get(),
         })
     }
 

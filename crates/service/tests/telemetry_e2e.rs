@@ -264,6 +264,48 @@ fn opt_search_reports_triangle_work() {
     assert_eq!(exported as u64, triangles);
 }
 
+/// Egos OptBSearch computed on helper threads (none on a one-CPU
+/// caller) add up the same in TRACE, STATS and both METRICS series.
+#[test]
+fn helper_computations_agree_across_trace_stats_and_metrics() {
+    let service = Service::new();
+    // Hubs of degree up to 337: large enough egos to start helpers.
+    let g = egobtw_gen::rmat(11, 3, egobtw_gen::rmat::RmatParams::skewed(), 0xEB02);
+    service.load_graph("h", g, Mode::default()).unwrap();
+    let engine = "core::opt_search(θ=1.05)";
+    let mut traced = 0;
+    for k in [5, 20, 80, 320] {
+        let reply = service.handle_line(&format!("TRACE TOPK h {k} {engine}"));
+        let (_, trace) = reply.split_once(" trace=").expect("trace token");
+        traced += trace
+            .split(',')
+            .find_map(|part| part.strip_prefix("helper_computations:"))
+            .map_or(0, |v| v.parse::<u64>().expect("a count"));
+    }
+    let stats = service.handle_line("STATS h");
+    assert!(
+        stats.contains(&format!(" helper_computations={traced}")),
+        "TRACE summed {traced}: {stats}"
+    );
+    let expo = prometheus::parse(&service.handle_line("METRICS")).unwrap();
+    let series = |name, labels: &[(&str, &str)]| -> u64 {
+        expo.value(name, labels)
+            .unwrap()
+            .unwrap_or_else(|| panic!("{name} missing")) as u64
+    };
+    assert_eq!(
+        series("egobtw_work_helper_computations_total", &[("dataset", "h")]),
+        traced
+    );
+    assert_eq!(
+        series(
+            "egobtw_engine_helper_computations_total",
+            &[("engine", engine)]
+        ),
+        traced
+    );
+}
+
 /// Every UPDATE that publishes an epoch times that publish (the CSR row
 /// patch plus the pointer swap) exactly once — including a batch whose
 /// ops all skip, which still publishes a new epoch.

@@ -84,6 +84,8 @@ pub struct WorkCounters {
     pub triangles: u64,
     /// Dynamic-bound refreshes.
     pub bound_refreshes: u64,
+    /// Of `exact`, the egos computed on OptBSearch helper threads.
+    pub helper_computations: u64,
     /// Approx connector-pair samples drawn.
     pub samples: u64,
     /// Approx sampling rounds.
@@ -176,6 +178,7 @@ impl Trace {
             ("pruned", w.pruned),
             ("triangles", w.triangles),
             ("bound_refreshes", w.bound_refreshes),
+            ("helper_computations", w.helper_computations),
             ("samples", w.samples),
             ("rounds", w.rounds),
         ] {
