@@ -23,10 +23,10 @@
 //!
 //! The calling thread runs the whole search: heap, θ rule, pruning, early
 //! termination, the top-k set and the identified-edge counters, which it
-//! alone writes. A vertex that must be computed exactly goes to an idle
-//! helper thread, which owns its own kernel and shares nothing but the
-//! score and the rows it leaves behind; with no helper idle, the caller
-//! computes the vertex itself. The caller credits and offers each
+//! alone writes. A vertex that must be computed exactly goes to a helper
+//! thread with room in its two-slot queue; each slot owns its own kernel
+//! and shares nothing but the score and the rows it leaves behind. With
+//! every queue full, the caller computes the vertex itself. The caller credits and offers each
 //! finished ego when it next looks, in whatever order they finish: the
 //! counters are exact for any completion order, and an ego still in
 //! flight only leaves other bounds looser, never wrong. Per-vertex scores
