@@ -353,7 +353,11 @@ fn helper(g: &CsrGraph, boxes: &[Mailbox], stop: &AtomicBool) {
                 .compare_exchange(s, claim, Ordering::Acquire, Ordering::Relaxed)
                 .is_ok()
             {
-                let cb = mb.kernel.lock().expect("helper kernel").score(g, v);
+                let cb = mb
+                    .kernel
+                    .lock()
+                    .expect("only this helper locks a posted slot's kernel")
+                    .score(g, v);
                 mb.cb.store(cb.to_bits(), Ordering::Relaxed);
                 mb.state.store(slot(v, DONE), Ordering::Release);
                 worked = true;
@@ -466,7 +470,11 @@ impl<'scope, 'env> Helpers<'scope, 'env> {
             let state = mb.state.load(Ordering::Acquire);
             match *held {
                 Held::Ego(u) if state == slot(u, DONE) => {
-                    s.done.credit(&mb.kernel.lock().expect("helper kernel"), u);
+                    let kernel = mb
+                        .kernel
+                        .lock()
+                        .expect("a DONE slot's helper released its kernel unharmed");
+                    s.done.credit(&kernel, u);
                     s.done.stats.helper_computations += 1;
                     s.top
                         .offer(u, f64::from_bits(mb.cb.load(Ordering::Relaxed)));
