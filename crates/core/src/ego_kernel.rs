@@ -174,37 +174,8 @@ impl EgoKernel {
             .sum()
     }
 
-    /// Tallies every non-adjacent pair by its popcounted connectors, with
-    /// the `POPCNT` instruction where the CPU has it. The build targets
-    /// baseline x86-64, whose `count_ones` is a bit-twiddling sequence;
-    /// the counts are integers, so both paths tally the same histogram.
+    /// Tallies every non-adjacent pair by its popcounted connectors.
     fn bitset_sweep(&mut self) {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("popcnt") {
-            // SAFETY: the CPU supports POPCNT, checked just above.
-            unsafe { self.bitset_sweep_popcnt() };
-            return;
-        }
-        self.bitset_sweep_portable();
-    }
-
-    /// # Safety
-    ///
-    /// The CPU must support POPCNT.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "popcnt")]
-    unsafe fn bitset_sweep_popcnt(&mut self) {
-        self.sweep_body();
-    }
-
-    fn bitset_sweep_portable(&mut self) {
-        self.sweep_body();
-    }
-
-    /// The sweep itself, inlined into each dispatch target so its
-    /// `count_ones` compiles to that target's instructions.
-    #[inline(always)]
-    fn sweep_body(&mut self) {
         let d = self.nbrs.len();
         let words = d.div_ceil(64);
         self.bits.clear();
@@ -424,52 +395,6 @@ mod tests {
             let g = CsrGraph::from_edges(d + 1, &dropped);
             check_evaluators(&g);
             assert_close(k.score(&g, 0), 1.0 / (d - 1) as f64, "near-complete");
-        }
-    }
-
-    /// The sweep's histogram for `p`, dispatched (POPCNT where the CPU
-    /// has it) or portable.
-    fn sweep_hist(k: &mut EgoKernel, g: &CsrGraph, p: VertexId, portable: bool) -> Vec<u64> {
-        k.build_rows(g, p);
-        k.hist.clear();
-        k.hist.resize(k.nbrs.len().saturating_sub(1), 0);
-        if portable {
-            k.bitset_sweep_portable();
-        } else {
-            k.bitset_sweep();
-        }
-        k.hist.clone()
-    }
-
-    #[test]
-    fn dispatched_sweep_matches_portable_sweep() {
-        let mut graphs = vec![egobtw_gen::rmat(
-            9,
-            4,
-            egobtw_gen::rmat::RmatParams::skewed(),
-            0,
-        )];
-        for d in [63usize, 64, 65, 130] {
-            // Egos of degree d at vertex 0: a star's centre, and a
-            // near-complete ego whose pairs have up to d − 2 connectors.
-            graphs.push(classic::star(d + 1));
-            let complete = classic::complete(d + 1);
-            let dropped: Vec<_> = complete
-                .edges()
-                .filter(|&(a, b)| a.min(b) == 0 || ((a, b) != (1, 2) && (a + b) % 7 != 0))
-                .collect();
-            graphs.push(CsrGraph::from_edges(d + 1, &dropped));
-        }
-        let mut k = EgoKernel::new();
-        for (gi, g) in graphs.iter().enumerate() {
-            if gi > 0 {
-                assert!([63, 64, 65, 130].contains(&g.degree(0)), "graph {gi}");
-            }
-            for p in 0..g.n() as VertexId {
-                let portable = sweep_hist(&mut k, g, p, true);
-                let dispatched = sweep_hist(&mut k, g, p, false);
-                assert_eq!(dispatched, portable, "graph {gi}, vertex {p}");
-            }
         }
     }
 

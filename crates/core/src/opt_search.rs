@@ -26,13 +26,13 @@
 //! alone writes. A vertex that must be computed exactly goes to a helper
 //! thread with room in its two-slot queue; each slot owns its own kernel
 //! and shares nothing but the score and the rows it leaves behind. With
-//! every queue full, the caller computes the vertex itself. The caller credits and offers each
-//! finished ego when it next looks, in whatever order they finish: the
-//! counters are exact for any completion order, and an ego still in
-//! flight only leaves other bounds looser, never wrong. Per-vertex scores
-//! are bit-identical to a one-thread search (one kernel per ego); the work
-//! done, and so the choice among vertices tied exactly at the k-th score,
-//! may differ between runs.
+//! every queue full, the caller computes the vertex itself. The caller
+//! credits and offers each finished ego when it next looks, in whatever
+//! order they finish: the counters are exact for any completion order,
+//! and an ego still in flight only leaves other bounds looser, never
+//! wrong. Per-vertex scores are bit-identical to a one-thread search (one
+//! kernel per ego); the work done, and so the choice among vertices tied
+//! exactly at the k-th score, may differ between runs.
 //!
 //! Speculation is limited where it costs most: once the egos in flight
 //! could fill the top-k, and so end the search, the caller settles them
@@ -41,7 +41,10 @@
 //! and by computing it too when it has, so it never waits on a helper.
 //!
 //! Helpers are scoped to the call, started as work appears, one per other
-//! CPU in the caller's affinity mask. A caller pinned to one CPU (a
+//! CPU the caller may use (its affinity mask, capped by the process's
+//! cgroup CPU quota), and only on a CPU that no other search's thread is
+//! busy on: concurrent searches that already fill the CPUs, like a busy
+//! daemon's worker threads, start none. A caller pinned to one CPU (a
 //! pinned daemon), or a graph whose largest ego is too small to repay
 //! starting a thread, gets none and runs the one-thread search.
 
@@ -50,8 +53,8 @@ use crate::ego_kernel::{EgoCompletion, EgoKernel};
 use crate::topk::{OrdF64, TopKSet, TopkResult};
 use egobtw_graph::{CsrGraph, VertexId};
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 use std::thread::{self, Scope};
 
 /// Tuning knobs for [`opt_bsearch`].
@@ -115,8 +118,8 @@ pub fn opt_bsearch_cancellable(
 }
 
 /// The search on `helpers` helper threads, or when `None` on one per
-/// other CPU in the caller's affinity mask if the graph's largest ego
-/// repays starting them.
+/// other CPU the caller may use and no other search is busy on, if the
+/// graph's largest ego repays starting them.
 pub(crate) fn search(
     g: &CsrGraph,
     k: usize,
@@ -151,6 +154,7 @@ pub(crate) fn search(
         top: TopKSet::new(k),
         kernel: EgoKernel::new(),
     };
+    let budgeted = helpers.is_none();
     let helpers = helpers.unwrap_or_else(|| {
         let largest = s.heap.peek().map_or(0.0, |&(OrdF64(b), _)| b);
         if largest < SPAWN_MIN_PAIRS {
@@ -164,7 +168,11 @@ pub(crate) fn search(
     } else {
         let boxes: Vec<Mailbox> = (0..helpers * QUEUE).map(|_| Mailbox::default()).collect();
         let stop = AtomicBool::new(false);
-        thread::scope(|scope| s.run(cancel, Some(&mut Helpers::new(scope, g, &boxes, &stop))))?;
+        let _caller = budgeted.then(Busy::caller);
+        thread::scope(|scope| {
+            let mut h = Helpers::new(scope, g, &boxes, &stop, budgeted);
+            s.run(cancel, Some(&mut h))
+        })?;
     }
     Ok(TopkResult {
         entries: s.top.into_sorted_vec(),
@@ -259,12 +267,63 @@ impl Search<'_> {
 /// no helper. Starting and joining one costs about 35 µs, what computing
 /// an ego of about this many pairs (degree 128) takes at ~4.5 ns a pair
 /// (2-vCPU x86-64 VM), so a search of small egos never pays for a thread.
+/// A probe estimate: no benchmark workload runs an unpinned search on
+/// graphs this small, so the value is not tuned end to end.
 const SPAWN_MIN_PAIRS: f64 = 8192.0;
 
 /// Helper threads for a search on the calling thread: one per other CPU
-/// in its affinity mask.
+/// it may use — the fewer of its affinity mask, read per search so that
+/// pinning a thread takes effect at once, and the process's CPU count,
+/// which honours a cgroup CPU quota.
 fn helpers_for_caller() -> usize {
-    cpus_in_affinity_mask().saturating_sub(1)
+    cpus_in_affinity_mask()
+        .min(process_cpus())
+        .saturating_sub(1)
+}
+
+/// CPUs the process may use, cgroup quota included (and, as std counts
+/// them, the affinity mask of the thread that first asks). Read once: it
+/// costs tens of microseconds (cgroup files), too much for every search.
+fn process_cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| thread::available_parallelism().map_or(1, usize::from))
+}
+
+/// Threads busy with automatic searches across the process: their
+/// calling threads and their helpers. A search starts a helper only while
+/// fewer than [`process_cpus`] are busy, so helpers run only on CPUs no
+/// other search is using: a lone search gets one per spare CPU, while
+/// concurrent searches that already fill the CPUs (a daemon's busy worker
+/// threads) start none and run as one-thread searches. Searches given an
+/// explicit helper count (tests, mutation checks) are not counted.
+static BUSY: AtomicUsize = AtomicUsize::new(0);
+
+/// One thread's place in [`BUSY`], given back on drop (when the search or
+/// helper returns or unwinds).
+struct Busy;
+
+impl Busy {
+    /// The calling thread of an automatic search: always counted.
+    fn caller() -> Busy {
+        BUSY.fetch_add(1, Ordering::Relaxed);
+        Busy
+    }
+
+    /// A helper: counted, and so started, only if a CPU is free.
+    fn helper() -> Option<Busy> {
+        let cpus = process_cpus();
+        BUSY.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |busy| {
+            (busy < cpus).then_some(busy + 1)
+        })
+        .ok()
+        .map(|_| Busy)
+    }
+}
+
+impl Drop for Busy {
+    fn drop(&mut self) {
+        BUSY.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 /// CPUs the calling thread may run on: one system call, cheap enough per
@@ -288,8 +347,7 @@ fn cpus_in_affinity_mask() -> usize {
 
 #[cfg(not(target_os = "linux"))]
 fn cpus_in_affinity_mask() -> usize {
-    static CPUS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CPUS.get_or_init(|| thread::available_parallelism().map_or(1, usize::from))
+    process_cpus()
 }
 
 /// One slot of a helper's queue. `state` packs a vertex and a tag; the
@@ -394,6 +452,8 @@ struct Helpers<'scope, 'env> {
     /// [`QUEUE`] slots per helper, helper `h` owning the `h`-th chunk.
     boxes: &'env [Mailbox],
     stop: &'env AtomicBool,
+    /// Whether starting a helper takes a place in [`BUSY`].
+    budgeted: bool,
     /// Helpers started, and helpers that may still be.
     spawned: usize,
     usable: usize,
@@ -408,12 +468,14 @@ impl<'scope, 'env> Helpers<'scope, 'env> {
         g: &'env CsrGraph,
         boxes: &'env [Mailbox],
         stop: &'env AtomicBool,
+        budgeted: bool,
     ) -> Self {
         Helpers {
             scope,
             g,
             boxes,
             stop,
+            budgeted,
             spawned: 0,
             usable: boxes.len() / QUEUE,
             held: vec![Held::Free; boxes.len()],
@@ -421,16 +483,28 @@ impl<'scope, 'env> Helpers<'scope, 'env> {
         }
     }
 
-    /// Starts the next helper; `false` if none may start.
+    /// Starts the next helper; `false` if none may start, for now (a CPU
+    /// may free up later) or for good.
     fn spawn(&mut self) -> bool {
         if self.spawned == self.usable {
             return false;
         }
+        let place = if self.budgeted {
+            match Busy::helper() {
+                Some(place) => Some(place),
+                None => return false,
+            }
+        } else {
+            None
+        };
         let (g, stop) = (self.g, self.stop);
         let boxes = &self.boxes[self.spawned * QUEUE..][..QUEUE];
         let started = thread::Builder::new()
             .name("egobtw-helper".into())
-            .spawn_scoped(self.scope, move || helper(g, boxes, stop));
+            .spawn_scoped(self.scope, move || {
+                let _place = place;
+                helper(g, boxes, stop)
+            });
         if started.is_err() {
             // Out of threads: carry on with the helpers running.
             self.usable = self.spawned;
@@ -804,6 +878,34 @@ mod tests {
             let r = opt_bsearch(&g, 5, OptParams::default());
             assert_eq!(r.stats.helper_computations, 0);
         }
+    }
+
+    #[test]
+    fn helpers_start_only_on_free_cpus() {
+        let g = egobtw_gen::rmat(11, 3, egobtw_gen::rmat::RmatParams::skewed(), 0xEB02);
+        let truth = compute_all_naive(&g);
+        // Every CPU taken by a search's calling thread (tests running at
+        // the same time can only take more): no helper may start, and an
+        // automatic search runs on its own thread.
+        let callers: Vec<Busy> = (0..process_cpus()).map(|_| Busy::caller()).collect();
+        assert!(Busy::helper().is_none());
+        let r = opt_bsearch(&g, 200, OptParams::default());
+        assert_eq!(r.stats.helper_computations, 0);
+        check_topk(&truth, &r.entries, 200, REL_TOL).unwrap();
+        drop(callers);
+        // Concurrent automatic searches, as a daemon's worker threads run
+        // them, answer like the oracle.
+        thread::scope(|scope| {
+            for t in 0..4 {
+                let (g, truth) = (&g, &truth);
+                scope.spawn(move || {
+                    for k in [50 + t, 1000 + t] {
+                        let r = opt_bsearch(g, k, OptParams::default());
+                        check_topk(truth, &r.entries, k, REL_TOL).unwrap();
+                    }
+                });
+            }
+        });
     }
 
     #[test]
