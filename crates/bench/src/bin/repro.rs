@@ -23,7 +23,9 @@
 
 use egobtw_baseline::{overlap_fraction, top_bw};
 use egobtw_bench::{case_study, ms, print_table, standins, time, Dataset};
-use egobtw_core::{base_bsearch, compute_all, compute_all_naive, opt_bsearch, OptParams};
+use egobtw_core::{
+    base_bsearch, compute_all, compute_all_naive, opt_bsearch, OptParams, TopkResult,
+};
 use egobtw_dynamic::{LazyTopK, LocalIndex};
 use egobtw_gen::sample::{edge_sample, vertex_sample};
 use egobtw_graph::VertexId;
@@ -130,10 +132,10 @@ fn exp1(scale: f64) {
                     ro.stats.exact_computations.to_string(),
                 ]);
             }
-            // Sanity: identical value sequences.
-            for (a, b) in rb.entries.iter().zip(&ro.entries) {
-                assert!((a.1 - b.1).abs() < 1e-9, "base/opt disagree");
-            }
+            // Sanity: identical value sequences, bit for bit — both
+            // searches score egos with the same kernel.
+            let values = |r: &TopkResult| r.entries.iter().map(|e| e.1).collect::<Vec<_>>();
+            assert_eq!(values(&rb), values(&ro), "base/opt disagree");
         }
     }
     print_table(
@@ -450,17 +452,13 @@ fn ablate(scale: f64) {
         .expect("registry contains dblp-like");
     let g = &d.graph;
 
-    // (a) shared-work engine vs per-ego straightforward algorithm.
+    // Shared-work engine vs per-ego straightforward algorithm.
     let (_, t_engine) = time(|| compute_all(g));
     let (_, t_naive) = time(|| compute_all_naive(g));
-    // (b) ordered-engine full sweep (BaseBSearch with k = n): measures the
-    //     cn-list bookkeeping overhead the edge-centric pass avoids.
-    let (_, t_ordered) = time(|| base_bsearch(g, g.n()));
     print_table(
         &["variant", "all-vertices (ms)"],
         &[
             vec!["edge-centric shared engine".into(), ms(t_engine)],
-            vec!["ordered engine (BaseBSearch k=n)".into(), ms(t_ordered)],
             vec!["per-ego straightforward".into(), ms(t_naive)],
         ],
     );

@@ -1,15 +1,19 @@
 //! BaseBSearch — Algorithm 1.
 //!
 //! Processes vertices in the total order `≺` (non-increasing static upper
-//! bound `ub(u) = d(u)(d(u)−1)/2`), computing each `CB` exactly via the
-//! shared engine, and terminates as soon as the answer set holds `k`
-//! vertices whose minimum `CB` is at least the next vertex's bound —
-//! every remaining vertex then satisfies
-//! `CB(w) ≤ ub(w) ≤ ub(next) ≤ min CB(R)` (Theorem 1).
+//! bound `ub(u) = d(u)(d(u)−1)/2`), computing each `CB` exactly with the
+//! ego-local kernel ([`EgoKernel`]) that OptBSearch also uses, and
+//! terminates as soon as the answer set holds `k` vertices whose minimum
+//! `CB` is at least the next vertex's bound — every remaining vertex then
+//! satisfies `CB(w) ≤ ub(w) ≤ ub(next) ≤ min CB(R)` (Theorem 1). The two
+//! searches differ only in their bound.
 
-use crate::engine::Engine;
+use crate::cancel::{Cancel, Cancelled};
+use crate::ego_kernel::EgoKernel;
+use crate::opt_search::CANCEL_POLL_POPS;
+use crate::stats::SearchStats;
 use crate::topk::{TopKSet, TopkResult};
-use egobtw_graph::{CsrGraph, DegreeOrder, OrientedGraph};
+use egobtw_graph::{CsrGraph, DegreeOrder};
 
 /// Runs BaseBSearch for the top `k` ego-betweenness vertices.
 ///
@@ -17,40 +21,58 @@ use egobtw_graph::{CsrGraph, DegreeOrder, OrientedGraph};
 /// work counters ([`crate::stats::SearchStats::exact_computations`] is the
 /// Table II column).
 pub fn base_bsearch(g: &CsrGraph, k: usize) -> TopkResult {
+    base_bsearch_cancellable(g, k, &Cancel::never())
+        .expect("a never-cancelled search cannot be cancelled")
+}
+
+/// [`base_bsearch`] with cooperative cancellation, polled on the first ego
+/// and then every [`CANCEL_POLL_POPS`] egos.
+pub fn base_bsearch_cancellable(
+    g: &CsrGraph,
+    k: usize,
+    cancel: &Cancel,
+) -> Result<TopkResult, Cancelled> {
+    let mut stats = SearchStats::default();
     let mut top = TopKSet::new(k);
-    let mut engine = Engine::new(g);
     if k == 0 {
-        return TopkResult {
+        return Ok(TopkResult {
             entries: Vec::new(),
-            stats: engine.stats,
-        };
+            stats,
+        });
     }
     let order = DegreeOrder::new(g);
-    let og = OrientedGraph::new(g, &order);
+    let mut kernel = EgoKernel::new();
     let n = g.n();
     for (i, u) in order.iter().enumerate() {
+        if i % CANCEL_POLL_POPS as usize == 0 {
+            cancel.check()?;
+        }
         if top.is_full() {
             let min_cb = top.min_score().expect("full set has a minimum");
             if min_cb >= g.degree_bound(u) {
-                engine.stats.pruned += n - i;
+                stats.pruned += n - i;
                 break;
             }
         }
-        engine.process_vertex_in_order(&order, &og, u);
-        let cb = engine.finalize_in_order(u);
+        let cb = kernel.score(g, u);
+        stats.exact_computations += 1;
+        stats.triangles_processed += kernel.ego_edges() as u64;
         top.offer(u, cb);
     }
-    TopkResult {
+    Ok(TopkResult {
         entries: top.into_sorted_vec(),
-        stats: engine.stats,
-    }
+        stats,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::naive::compute_all_naive;
-    use egobtw_gen::{classic, gnp, toy};
+    use crate::naive::{compute_all_naive, ego_betweenness_reference};
+    use egobtw_gen::rmat::RmatParams;
+    use egobtw_gen::{classic, gnp, rmat, toy};
+    use egobtw_graph::HybridConfig;
+    use std::time::{Duration, Instant};
 
     /// Oracle: top-k from a full naive computation, tie-tolerant — asserts
     /// the returned *values* match the k best values, and that every
@@ -160,6 +182,111 @@ mod tests {
         let r = base_bsearch(&g, 10);
         for w in r.entries.windows(2) {
             assert!(w[0].1 >= w[1].1);
+        }
+    }
+
+    /// At `k = n` the ordered sweep scores every vertex, each matching
+    /// the independent reference.
+    #[test]
+    fn k_eq_n_matches_reference() {
+        let mut graphs = vec![
+            classic::complete(7),
+            classic::star(9),
+            classic::path(8),
+            classic::cycle(6),
+            classic::barbell(5),
+            classic::karate_club(),
+            toy::paper_graph(),
+        ];
+        graphs.extend((0..5).map(|seed| gnp(40, 0.15, seed)));
+        for g in &graphs {
+            let r = base_bsearch(g, g.n());
+            assert_eq!(r.entries.len(), g.n());
+            for &(v, cb) in &r.entries {
+                let truth = ego_betweenness_reference(g, v);
+                assert!(
+                    (cb - truth).abs() <= 1e-9 * truth.abs().max(1.0),
+                    "vertex {v}: {cb} vs {truth}"
+                );
+            }
+        }
+    }
+
+    /// At `k = n` every score is the one `compute_all_naive` gives, bit
+    /// for bit: both run the same kernel on each ego.
+    #[test]
+    fn scores_bit_identical_to_naive() {
+        for g in [
+            classic::karate_club(),
+            gnp(60, 0.15, 4),
+            rmat(9, 4, RmatParams::skewed(), 0),
+        ] {
+            let naive = compute_all_naive(&g);
+            let r = base_bsearch(&g, g.n());
+            assert_eq!(r.entries.len(), g.n());
+            for &(v, cb) in &r.entries {
+                assert_eq!(cb.to_bits(), naive[v as usize].to_bits(), "vertex {v}");
+            }
+        }
+    }
+
+    /// Skewed R-MAT carries hub bitmap rows, so the kernel's rows come
+    /// from the bitmap intersection kernels; the dense twin makes most
+    /// rows bitmaps.
+    #[test]
+    fn hub_graphs_match_oracle() {
+        for seed in 0..3 {
+            let g = rmat(9, 4, RmatParams::skewed(), seed);
+            assert!(g.hub_count() > 0, "seed {seed}: no hub rows");
+            let dense = g.with_hybrid_config(&HybridConfig::dense());
+            for g in [&g, &dense] {
+                let truth = compute_all_naive(g);
+                let mut sorted = truth.clone();
+                sorted.sort_by(|a, b| b.total_cmp(a));
+                for k in [1, 10, 100, g.n()] {
+                    let r = base_bsearch(g, k);
+                    assert_eq!(r.entries.len(), k.min(g.n()));
+                    for (rank, &(v, cb)) in r.entries.iter().enumerate() {
+                        let tol = 1e-9 * cb.abs().max(1.0);
+                        assert!((cb - truth[v as usize]).abs() <= tol, "seed {seed} v{v}");
+                        assert!((cb - sorted[rank]).abs() <= tol, "seed {seed} rank {rank}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fired_token_cancels() {
+        let token = Cancel::new();
+        token.cancel();
+        let g = classic::karate_club();
+        assert!(matches!(
+            base_bsearch_cancellable(&g, 5, &token),
+            Err(Cancelled)
+        ));
+    }
+
+    #[test]
+    fn deadline_stops_a_long_search() {
+        // Every ego of a 4096-vertex hub graph: far longer than the
+        // deadline in any build.
+        let g = rmat(12, 8, RmatParams::skewed(), 3);
+        let token = Cancel::new().with_deadline(Instant::now() + Duration::from_millis(2));
+        assert!(matches!(
+            base_bsearch_cancellable(&g, g.n(), &token),
+            Err(Cancelled)
+        ));
+    }
+
+    #[test]
+    fn never_cancelled_run_equals_base_bsearch() {
+        let g = gnp(80, 0.1, 11);
+        for k in [1, 10, 80] {
+            let plain = base_bsearch(&g, k);
+            let live = base_bsearch_cancellable(&g, k, &Cancel::new()).unwrap();
+            assert_eq!(live.entries, plain.entries);
+            assert_eq!(live.stats, plain.stats);
         }
     }
 }

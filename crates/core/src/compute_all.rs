@@ -1,9 +1,8 @@
 //! Exact ego-betweenness for *all* vertices in one edge-centric pass.
 //!
-//! When no early termination is possible (the `k = n` baseline of Exp-5,
-//! and the kernel the parallel crate distributes), the `cn` bookkeeping of
-//! the ordered engine is unnecessary: iterating every edge `(a,b)` exactly
-//! once and pairing the members of `C = N(a) ∩ N(b)` counts
+//! When no early termination is possible (the `k = n` baseline of Exp-5),
+//! iterating every edge `(a,b)` exactly once and pairing the members of
+//! `C = N(a) ∩ N(b)` counts
 //!
 //! * each triangle `{a,b,x}` once per edge — writing the edge entry of the
 //!   *opposite* corner's map (`S_x(a,b) = 0`), so all three entries of a
@@ -11,8 +10,9 @@
 //! * each diamond `{(a,b),x,y}` exactly once — at its center edge —
 //!   bumping `S_a(x,y)` (connector `b`) and `S_b(x,y)` (connector `a`).
 //!
-//! The result is the same complete map store the ordered engine produces,
-//! by a strictly simpler loop.
+//! The result is every vertex's complete map `S_u`, which the dynamic
+//! maintainers start from ([`build_store`]). The parallel crate's PEBW runs
+//! a copy of this loop whose map writes go through per-vertex locks.
 
 use crate::cancel::{Cancel, Cancelled};
 use crate::smap::SMapStore;
@@ -31,7 +31,7 @@ const CANCEL_CHUNK: usize = 512;
 
 /// [`compute_all`] with cooperative cancellation: the edge-centric pass is
 /// driven in [`CANCEL_CHUNK`]-vertex ownership ranges through the same
-/// [`process_edge_range_with`] kernel (so results stay bit-identical),
+/// `process_edge_range_with` loop (so results stay bit-identical),
 /// polling `cancel` between chunks and between finalize blocks.
 pub fn compute_all_cancellable(
     g: &CsrGraph,
@@ -91,22 +91,9 @@ pub fn build_store_with(g: &CsrGraph, params: &KernelParams) -> (SMapStore, Sear
 }
 
 /// Processes the edges *owned* by vertices `lo..hi` (an edge `(u,v)` with
-/// `u < v` is owned by `u`), updating `store` in place. Factored out so the
-/// parallel crate can partition ownership ranges; the sequential
-/// [`compute_all`] is the single-range instantiation.
-pub fn process_edge_range(
-    g: &CsrGraph,
-    edges: &EdgeSet,
-    store: &mut SMapStore,
-    stats: &mut SearchStats,
-    lo: usize,
-    hi: usize,
-) {
-    process_edge_range_with(g, edges, store, stats, lo, hi, &KernelParams::new());
-}
-
-/// [`process_edge_range`] with explicit dispatch thresholds.
-pub fn process_edge_range_with(
+/// `u < v` is owned by `u`), updating `store` in place. [`build_store_with`]
+/// runs it over one range, [`compute_all_cancellable`] over chunks.
+fn process_edge_range_with(
     g: &CsrGraph,
     edges: &EdgeSet,
     store: &mut SMapStore,
@@ -133,10 +120,9 @@ pub fn process_edge_range_with(
 }
 
 /// Applies one edge's triangle/diamond contributions given its common
-/// neighborhood. Exposed for the parallel crate, which computes `common`
-/// itself and routes map access through locks.
+/// neighborhood.
 #[inline]
-pub fn apply_edge(
+fn apply_edge(
     edges: &EdgeSet,
     store: &mut SMapStore,
     stats: &mut SearchStats,
@@ -244,19 +230,5 @@ mod tests {
             compute_all_cancellable(&g, &cancelled),
             Err(Cancelled)
         ));
-    }
-
-    #[test]
-    fn agrees_with_ordered_engine() {
-        let g = gnp(40, 0.2, 17);
-        let (edge_centric, _) = compute_all(&g);
-        let mut engine = crate::engine::Engine::new(&g);
-        let order = egobtw_graph::DegreeOrder::new(&g);
-        let og = egobtw_graph::OrientedGraph::new(&g, &order);
-        for u in order.iter() {
-            engine.process_vertex_in_order(&order, &og, u);
-            let cb = engine.finalize_in_order(u);
-            assert!((cb - edge_centric[u as usize]).abs() < 1e-9, "vertex {u}");
-        }
     }
 }

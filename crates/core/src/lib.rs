@@ -13,20 +13,17 @@
 //! * [`naive`] — the per-ego "straightforward algorithm" (bitset-based) and
 //!   a simple reference implementation; these are both baselines and test
 //!   oracles;
-//! * [`smap`] — the per-vertex pair-count maps `S_u`, the shared data
-//!   structure behind Algorithms 1–3;
-//! * [`engine`] — the triangle-driven engine behind BaseBSearch: ordered
-//!   processing with diamond bookkeeping that counts each connector
-//!   exactly once;
-//! * [`ego_kernel`] — the dense ego-local kernel (EgoBWCal) behind
-//!   OptBSearch and every per-ego caller, and OptBSearch's identified-edge
-//!   counters that feed Lemma 3;
-//! * [`bounds`] — the static upper bound `ub` (Lemma 2) and the dynamic,
-//!   monotonically tightening bound `ũb` (Lemma 3);
+//! * [`smap`] — the per-vertex pair-count maps `S_u` of the whole-graph
+//!   pass ([`compute_all`]) and the dynamic maintainers;
+//! * [`ego_kernel`] — the dense ego-local kernel (EgoBWCal) behind both
+//!   searches and every per-ego caller, and OptBSearch's identified-edge
+//!   counters that feed its dynamic bound `ũb` (Lemma 3; the static bound
+//!   `ub` of Lemma 2 is `CsrGraph::degree_bound`);
 //! * [`cancel`] — the cooperative [`Cancel`] token (explicit flag +
 //!   optional deadline) every engine polls at coarse checkpoints, so a
 //!   serving layer can stop an abandoned or deadline-expired request;
-//! * [`base_search`] — **BaseBSearch** (Algorithm 1);
+//! * [`base_search`] — **BaseBSearch** (Algorithm 1), scoring egos in
+//!   static-bound order with the same kernel;
 //! * [`opt_search`] — **OptBSearch** (Algorithm 2) with the gradient ratio
 //!   `θ` and EgoBWCal (Algorithm 3), its exact computations spread over
 //!   helper threads that each own a kernel;
@@ -34,8 +31,8 @@
 //!   guarantees and per-vertex empirical-Bernstein confidence intervals,
 //!   for graphs the exact engines can't touch;
 //! * [`compute_all`] — exact `CB` for every vertex via a single
-//!   edge-centric pass (the `k = n` baseline, and the kernel that the
-//!   parallel crate distributes);
+//!   edge-centric pass (the `k = n` baseline; the parallel crate's PEBW
+//!   runs a locked copy of it);
 //! * [`topk`] — ordered-float utilities and the bounded top-k set;
 //! * [`registry`] — the enumerable engine registry: every top-k path in
 //!   this crate under a stable name and a uniform signature, so harnesses
@@ -60,11 +57,9 @@
 
 pub mod approx;
 pub mod base_search;
-pub mod bounds;
 pub mod cancel;
 pub mod compute_all;
 pub mod ego_kernel;
-pub mod engine;
 pub mod naive;
 pub mod opt_search;
 pub mod registry;
@@ -77,11 +72,10 @@ pub use approx::{
     clopper_pearson_upper, eb_half_width, round_delta, ApproxEntry, ApproxFault, ApproxParams,
     ApproxTopk, SamplingStrategy,
 };
-pub use base_search::base_bsearch;
+pub use base_search::{base_bsearch, base_bsearch_cancellable};
 pub use cancel::{Cancel, Cancelled};
 pub use compute_all::{compute_all, compute_all_cancellable};
 pub use ego_kernel::EgoKernel;
-pub use engine::Engine;
 pub use naive::{compute_all_naive, compute_all_naive_cancellable, ego_betweenness_of, EgoView};
 pub use opt_search::{
     opt_bsearch, opt_bsearch_cancellable, opt_bsearch_with_fault, OptFault, OptParams,

@@ -18,7 +18,9 @@
 //! Both functions are generic over [`EgoView`] so they run on the static
 //! [`CsrGraph`] and the mutable [`DynGraph`] alike.
 
+use crate::cancel::{Cancel, Cancelled};
 use crate::ego_kernel::EgoKernel;
+use crate::stats::SearchStats;
 use egobtw_graph::{CsrGraph, DynGraph, VertexId};
 use std::cell::RefCell;
 
@@ -144,25 +146,31 @@ pub fn ego_betweenness_reference<V: EgoView + ?Sized>(g: &V, p: VertexId) -> f64
 /// computation per vertex. This is the algorithm the paper's introduction
 /// dismisses as too costly — kept as a measured baseline and oracle.
 pub fn compute_all_naive(g: &CsrGraph) -> Vec<f64> {
-    let mut kernel = EgoKernel::new();
-    (0..g.n() as VertexId).map(|p| kernel.score(g, p)).collect()
+    compute_all_naive_cancellable(g, &Cancel::never())
+        .expect("a never-cancelled sweep cannot be cancelled")
+        .0
 }
 
 /// [`compute_all_naive`] polling `cancel` every few hundred egos, so a
-/// deadline-expired or abandoned request stops mid-sweep.
+/// deadline-expired or abandoned request stops mid-sweep. The counters
+/// follow the kernel engines' rule: every vertex is an exact computation,
+/// and each adds its ego edges to `triangles_processed`.
 pub fn compute_all_naive_cancellable(
     g: &CsrGraph,
-    cancel: &crate::cancel::Cancel,
-) -> Result<Vec<f64>, crate::cancel::Cancelled> {
+    cancel: &Cancel,
+) -> Result<(Vec<f64>, SearchStats), Cancelled> {
     let mut kernel = EgoKernel::new();
+    let mut stats = SearchStats::default();
     let mut out = Vec::with_capacity(g.n());
     for p in 0..g.n() as VertexId {
         if p % 256 == 0 {
             cancel.check()?;
         }
         out.push(kernel.score(g, p));
+        stats.triangles_processed += kernel.ego_edges() as u64;
     }
-    Ok(out)
+    stats.exact_computations = g.n();
+    Ok((out, stats))
 }
 
 #[cfg(test)]

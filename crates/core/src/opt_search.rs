@@ -102,9 +102,11 @@ pub fn opt_bsearch_with_fault(
 }
 
 /// Heap pops between cancellation checkpoints in
-/// [`opt_bsearch_cancellable`] — an exact computation per pop is the unit
-/// of work, so this bounds wasted post-cancel work to a handful of egos.
-const CANCEL_POLL_POPS: u32 = 32;
+/// [`opt_bsearch_cancellable`], and egos between those of
+/// [`crate::base_search::base_bsearch_cancellable`] — an exact computation
+/// per pop is the unit of work, so this bounds wasted post-cancel work to
+/// a handful of egos.
+pub(crate) const CANCEL_POLL_POPS: u32 = 32;
 
 /// [`opt_bsearch`] with cooperative cancellation, polled every
 /// [`CANCEL_POLL_POPS`] heap pops.

@@ -22,7 +22,7 @@
 //! the conformance layer appends to this list.
 
 use crate::approx::{approx_topk_cancellable, ApproxParams, SamplingStrategy};
-use crate::base_bsearch;
+use crate::base_search::base_bsearch_cancellable;
 use crate::cancel::{Cancel, Cancelled};
 use crate::compute_all::compute_all_cancellable;
 use crate::naive::compute_all_naive_cancellable;
@@ -177,10 +177,11 @@ pub fn builtin_engines() -> Vec<RegisteredEngine> {
         RegisteredEngine::new(
             "core::naive",
             Box::new(|g: &CsrGraph, k, cancel: &Cancel| {
-                Ok(uncounted(topk_from_scores(
-                    &compute_all_naive_cancellable(g, cancel)?,
-                    k,
-                )))
+                let (scores, stats) = compute_all_naive_cancellable(g, cancel)?;
+                Ok(TopkResult {
+                    entries: topk_from_scores(&scores, k),
+                    stats,
+                })
             }) as EngineFn,
         ),
         RegisteredEngine::new(
@@ -195,12 +196,7 @@ pub fn builtin_engines() -> Vec<RegisteredEngine> {
         ),
         RegisteredEngine::new(
             "core::base_search",
-            // BaseBSearch's frozen-bound sweep has no natural mid-run
-            // checkpoint; it honors cancellation at entry only.
-            Box::new(|g: &CsrGraph, k, cancel: &Cancel| {
-                cancel.check()?;
-                Ok(base_bsearch(g, k))
-            }) as EngineFn,
+            Box::new(base_bsearch_cancellable) as EngineFn,
         ),
     ];
     for theta in [1.0, 1.05, 2.0] {
@@ -325,14 +321,39 @@ mod tests {
                 .topk_with_stats_cancellable(&g, 5, &Cancel::never())
                 .unwrap();
             assert_eq!(plain, with_stats.entries, "{}", e.name());
-            // The search engines must report honest work counters; the
-            // naive and sampling engines legitimately report zeros.
-            if e.name().starts_with("core::opt_search") || e.name() == "core::base_search" {
+            // The exact engines must report honest work counters; the
+            // sampling engines legitimately report zeros.
+            if !matches!(e.kind(), EngineKind::Approx { .. }) {
                 assert!(
                     with_stats.stats.exact_computations > 0,
                     "{} reported no exact computations",
                     e.name()
                 );
+            }
+        }
+    }
+
+    /// The kernel engines count each computed ego's edges, so at `k = n`
+    /// every triangle is counted once per corner.
+    #[test]
+    fn kernel_engines_count_three_corners_per_triangle_at_k_eq_n() {
+        let graphs = [
+            classic::karate_club(),
+            egobtw_gen::rmat(9, 4, egobtw_gen::rmat::RmatParams::skewed(), 0),
+        ];
+        for g in &graphs {
+            let triangles = egobtw_graph::triangle::count_triangles(g);
+            assert!(triangles > 0);
+            for e in builtin_engines()
+                .iter()
+                .filter(|e| matches!(e.name(), "core::naive" | "core::base_search"))
+            {
+                let r = e
+                    .topk_with_stats_cancellable(g, g.n(), &Cancel::never())
+                    .unwrap();
+                assert_eq!(r.stats.exact_computations, g.n(), "{}", e.name());
+                assert_eq!(r.stats.triangles_processed, 3 * triangles, "{}", e.name());
+                assert_eq!(r.stats.diamonds_counted, 0, "{}", e.name());
             }
         }
     }

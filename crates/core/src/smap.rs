@@ -12,9 +12,13 @@
 //!   contributes `1/(c+1)`.
 //!
 //! `CB(u) = d(d-1)/2 − Σ_entries (1 − contrib)`, evaluated by
-//! [`PairMap::cb_given_degree`]; on a partial map the same expression is
-//! the dynamic upper bound `ũb(u)` of Lemma 3, and it only decreases as
+//! [`PairMap::cb_given_degree_det`]; on a partial map the same expression
+//! is an upper bound on `CB(u)` (Lemma 3), and it only decreases as
 //! entries are added or incremented.
+//!
+//! The maps serve the whole-graph passes (`compute_all::build_store`, the
+//! parallel crate's PEBW) and the dynamic maintainers that update them;
+//! the top-k searches score egos with `ego_kernel::EgoKernel` instead.
 
 use egobtw_graph::{pack_pair, FxHashMap, VertexId};
 
@@ -37,8 +41,8 @@ pub struct PairMap {
 impl PairMap {
     /// Marks `(i,j)` as an edge between neighbors (`val = 0`).
     ///
-    /// Must be called at most once per pair: the engine invokes it exactly
-    /// when the corresponding triangle is processed.
+    /// Must be called at most once per pair: the whole-graph pass invokes
+    /// it exactly once per triangle corner.
     #[inline]
     pub fn set_edge(&mut self, i: VertexId, j: VertexId) {
         let prev = self.map.insert(pack_pair(i, j), 0);
@@ -92,29 +96,15 @@ impl PairMap {
         self.map.iter().map(|(&k, &v)| (k, v))
     }
 
-    /// Evaluates `d(d−1)/2 − Σ (1 − contrib)` over the stored entries.
-    ///
-    /// On a complete map this is `CB(u)` (Lemma 2); on a partial map it is
-    /// the dynamic upper bound `ũb(u)` (Lemma 3).
-    pub fn cb_given_degree(&self, degree: usize) -> f64 {
-        let d = degree as f64;
-        let mut cb = d * (d - 1.0) / 2.0;
-        for (_, val) in self.entries() {
-            cb -= 1.0 - entry_contribution(val);
-        }
-        cb
-    }
-
-    /// Deterministic variant of [`PairMap::cb_given_degree`]: entries are
-    /// summed in sorted key order, so two maps with equal *content* yield
+    /// Evaluates `d(d−1)/2 − Σ (1 − contrib)` over the stored entries,
+    /// summed in sorted key order: two maps with equal *content* yield
     /// bit-identical values no matter what order the content was built in.
     ///
-    /// The full-computation paths (sequential `compute_all` and the
-    /// parallel PEBW finalizers) use this, making their outputs exactly
-    /// comparable (`==`, not epsilon-compare) across thread counts and
-    /// work schedules. The hot search paths keep the hash-order variant:
-    /// bounds only need to be *valid*, not bit-stable, and the sort would
-    /// cost `O(d² log d)` per refresh.
+    /// On a complete map this is `CB(u)` (Lemma 2); on a partial map it is
+    /// an upper bound on `CB(u)` (Lemma 3). Every reader (sequential
+    /// `compute_all`, the parallel PEBW finalizers, the dynamic
+    /// maintainers) gets outputs exactly comparable (`==`, not
+    /// epsilon-compare) across thread counts and work schedules.
     pub fn cb_given_degree_det(&self, degree: usize) -> f64 {
         let mut entries: Vec<(u64, u32)> = self.entries().collect();
         entries.sort_unstable_by_key(|&(key, _)| key);
@@ -226,7 +216,7 @@ mod tests {
         m.add_connector(3, 4);
         m.add_connector(3, 4);
         m.add_connector(5, 6);
-        let cb = m.cb_given_degree(4);
+        let cb = m.cb_given_degree_det(4);
         let expect = 3.0 + 0.0 + 1.0 / 3.0 + 0.5;
         assert!((cb - expect).abs() < 1e-12, "cb = {cb}");
     }
@@ -235,17 +225,17 @@ mod tests {
     fn bound_tightens_monotonically() {
         let mut m = PairMap::default();
         let d = 5;
-        let mut prev = m.cb_given_degree(d);
+        let mut prev = m.cb_given_degree_det(d);
         m.add_connector(0, 1);
-        let b1 = m.cb_given_degree(d);
+        let b1 = m.cb_given_degree_det(d);
         assert!(b1 < prev);
         prev = b1;
         m.add_connector(0, 1);
-        let b2 = m.cb_given_degree(d);
+        let b2 = m.cb_given_degree_det(d);
         assert!(b2 < prev);
         prev = b2;
         m.set_edge(2, 3);
-        assert!(m.cb_given_degree(d) < prev);
+        assert!(m.cb_given_degree_det(d) < prev);
     }
 
     #[test]
@@ -264,8 +254,8 @@ mod tests {
         b.set_edge(8, 9);
         let (da, db) = (a.cb_given_degree_det(6), b.cb_given_degree_det(6));
         assert_eq!(da, db, "bit-identical across construction orders");
-        // Same value (up to association) as the hash-order variant.
-        assert!((da - a.cb_given_degree(6)).abs() < 1e-12);
+        // Four one-connector pairs, one edge pair, ten absent pairs.
+        assert_eq!(da, 15.0 - 4.0 * 0.5 - 1.0);
     }
 
     #[test]

@@ -10,13 +10,14 @@
 pub struct SearchStats {
     /// Vertices whose `CB` was computed exactly (Table II's metric).
     pub exact_computations: usize,
-    /// Triangle work. OptBSearch counts the triangles through each ego it
-    /// computes (`Σ|L_a|/2` per ego, so a triangle shared by two computed
-    /// egos counts twice); BaseBSearch counts each processed triangle
-    /// once; `compute_all` counts corner writes, three per triangle.
+    /// Triangle work. The kernel engines (BaseBSearch, OptBSearch and the
+    /// naive all-egos sweep) count the triangles through each ego they
+    /// compute (`Σ|L_a|/2` per ego, so a triangle shared by two computed
+    /// egos counts twice); `compute_all` counts corner writes. Over all
+    /// `n` egos both come to three per triangle.
     pub triangles_processed: u64,
-    /// Diamond (connector) discoveries of the S-map engines — each bumps
-    /// two maps. OptBSearch's kernel keeps no maps and reports 0.
+    /// Diamond (connector) discoveries of the S-map pass (`compute_all`) —
+    /// each bumps two maps. The kernel engines keep no maps and report 0.
     pub diamonds_counted: u64,
     /// Vertices pruned by a bound without exact computation.
     pub pruned: usize,
