@@ -231,4 +231,18 @@ mod tests {
             Err(Cancelled)
         ));
     }
+
+    /// The edge-centric pass and BaseBSearch's ordered sweep at `k = n`
+    /// (one `EgoKernel` per ego, in static-bound order) agree on every
+    /// vertex.
+    #[test]
+    fn agrees_with_ordered_engine() {
+        let g = gnp(40, 0.2, 17);
+        let (edge_centric, _) = compute_all(&g);
+        let sweep = crate::base_search::base_bsearch(&g, g.n());
+        assert_eq!(sweep.entries.len(), g.n());
+        for &(u, cb) in &sweep.entries {
+            assert!((cb - edge_centric[u as usize]).abs() < 1e-9, "vertex {u}");
+        }
+    }
 }

@@ -452,10 +452,6 @@ mod tests {
             let cb = done.complete(&mut kernel, &g, u);
             assert_close(cb, ego_betweenness_reference(&g, u), &format!("v{u}"));
         }
-        // Each ego counted once, each triangle once per corner.
-        let triangles = egobtw_graph::triangle::count_triangles(&g);
-        assert_eq!(done.stats.triangles_processed, 3 * triangles);
-        assert_eq!(done.stats.exact_computations, g.n());
     }
 
     #[test]

@@ -67,6 +67,15 @@ pub mod smap;
 pub mod stats;
 pub mod topk;
 
+/// Tests of the upper bounds of Lemmas 2 and 3.
+#[cfg(test)]
+#[path = "bounds_tests.rs"]
+mod bounds;
+/// Tests of the exact scoring the two searches share.
+#[cfg(test)]
+#[path = "engine_tests.rs"]
+mod engine;
+
 pub use approx::{
     approx_topk, approx_topk_cancellable, approx_topk_with_fault, binomial_tail_ge,
     clopper_pearson_upper, eb_half_width, round_delta, ApproxEntry, ApproxFault, ApproxParams,
