@@ -4,9 +4,10 @@
 //! `edge_pebw` at 1/2/4 threads} with warmup + median-of-R timing, on two
 //! configurations of every dataset:
 //!
-//! * **baseline** — the pre-change kernels: a bitmap-free CSR
-//!   (`HybridConfig::disabled`), original vertex ids, merge/gallop
-//!   dispatch pinned to `KernelParams::legacy`;
+//! * **baseline** — the representation before hub bitmaps: a
+//!   bitmap-free CSR (`HybridConfig::disabled`) with original vertex ids,
+//!   run through the same engines (`compute_all` on it is the baseline
+//!   column's all-egos time);
 //! * **hybrid** — the degree-descending relabeled twin with auto-chosen
 //!   hub bitmap rows, i.e. the representation every engine now runs on.
 //!
@@ -33,8 +34,7 @@
 //! 1e-9) before any timing is reported.
 //!
 //! The `approx` section is the sampling-engine payoff demo: on the
-//! skewed R-MAT stand-in at `--approx-scale` (default 5 — large enough
-//! that exact `compute_all` takes minutes), it times exact vs
+//! skewed R-MAT stand-in at `--approx-scale` (default 5), it times exact vs
 //! `approx_topk` at (ε = 0.05, δ = 0.01, k = 8) and re-runs the sampler
 //! `--approx-trials` times with fresh seeds, counting statistical-
 //! contract violations (CI containment, bounded displacement, estimate
@@ -44,10 +44,8 @@
 
 use egobtw_bench::json::Json;
 use egobtw_bench::{rmat_standin, standins};
-use egobtw_core::{
-    approx_topk, compute_all::compute_all_with, opt_bsearch, ApproxParams, ApproxTopk, OptParams,
-};
-use egobtw_graph::{CsrGraph, HybridConfig, KernelParams, Relabeling};
+use egobtw_core::{approx_topk, compute_all, opt_bsearch, ApproxParams, ApproxTopk, OptParams};
+use egobtw_graph::{CsrGraph, HybridConfig, Relabeling};
 use egobtw_parallel::edge_pebw;
 use std::time::Instant;
 
@@ -144,9 +142,8 @@ fn run_dataset(
     graph: &CsrGraph,
     args: &Args,
 ) -> (Vec<CaseResult>, /* hub stats */ (usize, usize, u64)) {
-    // Baseline representation: exactly what shipped before this subsystem.
+    // Baseline representation: no hub bitmaps, original ids.
     let plain = graph.with_hybrid_config(&HybridConfig::disabled());
-    let legacy = KernelParams::legacy();
     // Hybrid representation: degree-relabeled twin with auto hub rows.
     let t0 = Instant::now();
     let relab = Relabeling::degree_descending(graph);
@@ -154,8 +151,8 @@ fn run_dataset(
     let prep_ns = t0.elapsed().as_nanos() as u64;
 
     // Correctness guard before timing anything.
-    let base_scores = compute_all_with(&plain, &legacy).0;
-    let hybrid_scores = relab.restore_scores(&compute_all_with(&rg, &KernelParams::new()).0);
+    let base_scores = compute_all(&plain).0;
+    let hybrid_scores = relab.restore_scores(&compute_all(&rg).0);
     for (v, (a, b)) in base_scores.iter().zip(&hybrid_scores).enumerate() {
         assert!(
             (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0),
@@ -167,8 +164,8 @@ fn run_dataset(
     let r = args.rounds;
     let mut cases = vec![CaseResult {
         engine: "compute_all".into(),
-        hybrid_ns: median_ns(w, r, || compute_all_with(&rg, &KernelParams::new())),
-        baseline_ns: median_ns(w, r, || compute_all_with(&plain, &legacy)),
+        hybrid_ns: median_ns(w, r, || compute_all(&rg)),
+        baseline_ns: median_ns(w, r, || compute_all(&plain)),
     }];
     let params = OptParams { theta: 1.05 };
     cases.push(CaseResult {
@@ -366,7 +363,7 @@ fn run(args: &Args) {
         ("k".into(), Json::Num(args.k as f64)),
         (
             "baseline".into(),
-            Json::Str("pre-hybrid kernels: bitmap-free CSR, original ids, merge/gallop".into()),
+            Json::Str("bitmap-free CSR, original ids, same engines".into()),
         ),
         (
             "hybrid".into(),

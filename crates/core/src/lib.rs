@@ -13,8 +13,8 @@
 //! * [`naive`] — the per-ego "straightforward algorithm" (bitset-based) and
 //!   a simple reference implementation; these are both baselines and test
 //!   oracles;
-//! * [`smap`] — the per-vertex pair-count maps `S_u` of the whole-graph
-//!   pass ([`compute_all`]) and the dynamic maintainers;
+//! * [`smap`] — the per-vertex pair-count maps `S_u` the dynamic
+//!   maintainers start from (`compute_all::build_store`) and update;
 //! * [`ego_kernel`] — the dense ego-local kernel (EgoBWCal) behind both
 //!   searches and every per-ego caller, and OptBSearch's identified-edge
 //!   counters that feed its dynamic bound `ũb` (Lemma 3; the static bound
@@ -30,15 +30,16 @@
 //! * [`approx`] — adaptive pair-sampling engines with (ε, δ) rank
 //!   guarantees and per-vertex empirical-Bernstein confidence intervals,
 //!   for graphs the exact engines can't touch;
-//! * [`compute_all`] — exact `CB` for every vertex via a single
-//!   edge-centric pass (the `k = n` baseline; the parallel crate's PEBW
-//!   runs a locked copy of it);
+//! * [`compute_all`] — exact `CB` for every vertex (the `k = n`
+//!   baseline): one all-egos driver computes each edge's common
+//!   neighbourhood once and scores each ego in a triangle with the kernel,
+//!   on the caller's thread or, for the parallel crate's PEBW, on `t`;
 //! * [`topk`] — ordered-float utilities and the bounded top-k set;
 //! * [`registry`] — the enumerable engine registry: every top-k path in
 //!   this crate under a stable name and a uniform signature, so harnesses
 //!   discover engines instead of hand-listing them;
 //! * [`stats`] — instrumentation counters (exact computations per search —
-//!   Table II of the paper — plus triangle/diamond work).
+//!   Table II of the paper — plus triangle work).
 //!
 //! # Quick start
 //!

@@ -16,9 +16,9 @@
 //! is an upper bound on `CB(u)` (Lemma 3), and it only decreases as
 //! entries are added or incremented.
 //!
-//! The maps serve the whole-graph passes (`compute_all::build_store`, the
-//! parallel crate's PEBW) and the dynamic maintainers that update them;
-//! the top-k searches score egos with `ego_kernel::EgoKernel` instead.
+//! The maps serve `compute_all::build_store` and the dynamic maintainers
+//! it builds them for, which update them; every all-vertex and top-k
+//! engine scores egos with `ego_kernel::EgoKernel` instead.
 
 use egobtw_graph::{pack_pair, FxHashMap, VertexId};
 

@@ -3,22 +3,19 @@
 //! Table II of the paper compares BaseBSearch and OptBSearch by the
 //! *number of vertices whose ego-betweenness is computed exactly* — the
 //! honest measure of pruning power, independent of constant factors.
-//! [`SearchStats`] carries that plus the underlying triangle/diamond work.
+//! [`SearchStats`] carries that plus the underlying triangle work.
 
 /// Work counters accumulated by a search or a full computation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Vertices whose `CB` was computed exactly (Table II's metric).
     pub exact_computations: usize,
-    /// Triangle work. The kernel engines (BaseBSearch, OptBSearch and the
-    /// naive all-egos sweep) count the triangles through each ego they
-    /// compute (`Σ|L_a|/2` per ego, so a triangle shared by two computed
-    /// egos counts twice); `compute_all` counts corner writes. Over all
-    /// `n` egos both come to three per triangle.
+    /// Triangle work: every engine scores egos with the kernel and counts
+    /// the triangles through each ego it computes (`Σ|L_a|/2` per ego, so
+    /// a triangle shared by two computed egos counts twice, and a
+    /// triangle-free ego adds 0). Over all `n` egos (`compute_all`, the
+    /// naive sweep, or a search at `k = n`) this is three per triangle.
     pub triangles_processed: u64,
-    /// Diamond (connector) discoveries of the S-map pass (`compute_all`) —
-    /// each bumps two maps. The kernel engines keep no maps and report 0.
-    pub diamonds_counted: u64,
     /// Vertices pruned by a bound without exact computation.
     pub pruned: usize,
     /// Dynamic-bound refreshes (OptBSearch pops that recomputed `ũb`).
@@ -36,7 +33,6 @@ impl SearchStats {
     pub fn merge(&mut self, other: &SearchStats) {
         self.exact_computations += other.exact_computations;
         self.triangles_processed += other.triangles_processed;
-        self.diamonds_counted += other.diamonds_counted;
         self.pruned += other.pruned;
         self.bound_refreshes += other.bound_refreshes;
         self.heap_reinserts += other.heap_reinserts;
@@ -53,7 +49,6 @@ mod tests {
         let mut a = SearchStats {
             exact_computations: 1,
             triangles_processed: 2,
-            diamonds_counted: 3,
             pruned: 4,
             bound_refreshes: 5,
             heap_reinserts: 6,
@@ -62,7 +57,6 @@ mod tests {
         a.merge(&a.clone());
         assert_eq!(a.exact_computations, 2);
         assert_eq!(a.triangles_processed, 4);
-        assert_eq!(a.diamonds_counted, 6);
         assert_eq!(a.pruned, 8);
         assert_eq!(a.bound_refreshes, 10);
         assert_eq!(a.heap_reinserts, 12);

@@ -113,9 +113,10 @@ pub struct DeltaIndex {
 
 impl DeltaIndex {
     /// Builds the index from a static graph: the shared edge-centric pass
-    /// populates the maps (deterministic finalize, so starting values are
-    /// bit-identical to `compute_all` and to a fresh `LocalIndex`), then
-    /// the top-k set is read off directly.
+    /// (`build_store`) populates the maps (deterministic finalize, so
+    /// starting values are bit-identical to a fresh `LocalIndex`, and
+    /// equal `compute_all`'s kernel scores up to float summation order),
+    /// then the top-k set is read off directly.
     pub fn new(g: &CsrGraph, k: usize) -> Self {
         Self::build(g, k, None)
     }
@@ -126,7 +127,7 @@ impl DeltaIndex {
     }
 
     fn build(g: &CsrGraph, k: usize, fault: Option<DeltaFault>) -> Self {
-        let (store, _) = egobtw_core::compute_all::build_store(g);
+        let store = egobtw_core::compute_all::build_store(g);
         let cb: Vec<f64> = (0..g.n() as VertexId)
             .map(|v| store.map(v).cb_given_degree_det(g.degree(v)))
             .collect();

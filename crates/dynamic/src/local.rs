@@ -51,9 +51,10 @@ impl LocalIndex {
     /// (`build_store`, routed through the hybrid intersection kernels) to
     /// populate the maps.
     pub fn new(g: &CsrGraph) -> Self {
-        let (store, _) = egobtw_core::compute_all::build_store(g);
-        // Deterministic finalize, so the starting values are bit-identical
-        // to `compute_all` (and hence to a fresh `LazyTopK`).
+        let store = egobtw_core::compute_all::build_store(g);
+        // Deterministic finalize: the starting values do not depend on the
+        // maps' hash order. They equal `compute_all`'s kernel scores (and
+        // so a fresh `LazyTopK`'s) up to float summation order.
         let cb = (0..g.n() as VertexId)
             .map(|v| store.map(v).cb_given_degree_det(g.degree(v)))
             .collect();

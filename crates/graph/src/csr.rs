@@ -724,9 +724,9 @@ impl CsrGraph {
 
     /// Edge membership: one bit-probe when either endpoint is a hub,
     /// otherwise binary search (`O(log d)`) on the smaller endpoint. The
-    /// top-k search engine's diamond check uses this directly; the
-    /// whole-graph passes (`compute_all`, PEBW) build an [`crate::EdgeSet`]
-    /// for guaranteed O(1) membership instead.
+    /// `S`-map pass (`build_store` in `egobtw-core`), which tests every
+    /// diamond of the graph, builds an [`crate::EdgeSet`] for guaranteed
+    /// O(1) membership instead.
     #[inline]
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
         if u == v {

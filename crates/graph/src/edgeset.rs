@@ -5,11 +5,11 @@
 //! answers it in O(1) versus `O(log d)` for CSR binary search; the `ablate`
 //! harness quantifies the difference.
 //!
-//! Only the whole-graph passes (`compute_all` and PEBW) build one: they
-//! test every diamond of the graph, so the build amortizes. The top-k
-//! search engine (Base/OptBSearch) tests membership with
-//! [`CsrGraph::has_edge`] instead, because a search touches a fraction of
-//! the graph and building the set would cost more than it saves.
+//! Only the `S`-map pass behind the dynamic maintainers
+//! (`compute_all::build_store` in `egobtw-core`) builds one: it tests
+//! every diamond of the graph, so the build amortizes. The kernel engines
+//! read adjacency inside an ego from their rows `N(p) ∩ N(a)`, and point
+//! queries use [`CsrGraph::has_edge`].
 
 use crate::csr::CsrGraph;
 use crate::hash::FxHashSet;

@@ -68,10 +68,10 @@ impl DegreeOrder {
 ///
 /// Relabeling a graph this way puts the hot hub rows at the front of the
 /// CSR arena (cache locality for the rows every intersection rescans),
-/// makes `CsrGraph::edges`' `u < v` ownership put each edge on its
-/// *higher*-degree endpoint — so `compute_all`-style owner loops iterate
-/// the shorter side per edge — and keeps small new ids exactly where the
-/// hub-bitmap layer spends its budget. Engines run on the relabeled twin
+/// makes `CsrGraph::edges`' `u < v` ownership — the one the all-egos
+/// driver and the `S`-map pass use — put each edge on its *higher*-degree
+/// endpoint, and keeps small new ids exactly where the hub-bitmap layer
+/// spends its budget. Engines run on the relabeled twin
 /// and inverse-map results back via [`Relabeling::restore_scores`] /
 /// [`Relabeling::restore_topk`].
 #[derive(Clone, Debug)]

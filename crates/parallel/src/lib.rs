@@ -1,24 +1,22 @@
 //! Parallel all-vertex ego-betweenness (Section V).
 //!
-//! Both algorithms distribute the edge-centric kernel of
-//! [`egobtw_core::compute_all`]: each undirected edge `(a,b)` is processed
-//! exactly once — intersect the neighborhoods, write the triangle edge
-//! entries, bump connector counts for the diamond wings. Per-vertex maps
-//! are guarded by `parking_lot::Mutex` (the paper: "we should lock the map
-//! S when it is updated"); locks are taken one at a time, so there is no
-//! deadlock potential.
+//! Both algorithms run the all-egos driver
+//! [`egobtw_core::compute_all::all_egos`] on `t` scoped threads. Phase 1
+//! computes each undirected edge's `N(a) ∩ N(b)` once; phase 2 scores each
+//! ego with one `EgoKernel` per thread, reading those rows. The paper
+//! locks each vertex's map `S` as edges update it; here no shared state
+//! is written twice, so nothing is locked. The two differ in how phase 1
+//! cuts the edges into claims pulled from an atomic cursor:
 //!
-//! * [`vertex_pebw`] — **VertexPEBW**: the work unit is a vertex, which
-//!   owns its out-edges under the total order `≺`. Because orientation
-//!   points from high degree to low, hubs own huge edge bundles — the
-//!   skewed load the paper observes;
-//! * [`edge_pebw`] — **EdgePEBW**: the work unit is a single oriented
-//!   edge, pulled from a shared atomic cursor in small chunks — balanced
-//!   load, and the faster of the two (Fig. 10).
+//! * [`vertex_pebw`] — **VertexPEBW**: a claim is a run of owner
+//!   vertices with every edge they own (an edge belongs to its smaller
+//!   id). Hubs sit at low ids in R-MAT and BA graphs and own huge edge
+//!   bundles — the skewed load the paper observes;
+//! * [`edge_pebw`] — **EdgePEBW**: a claim is a fixed number of edges —
+//!   balanced load, and the faster of the two (Fig. 10).
 //!
-//! Because all shared state is integer counts, the final values are
-//! independent of thread interleaving up to float summation order inside
-//! each map (bounded by 1e-9 in tests against the sequential kernel).
+//! Every score is the kernel's, so both are bit-identical to
+//! `compute_all` and `compute_all_naive` at every thread count.
 
 pub mod pebw;
 

@@ -1,159 +1,28 @@
-//! VertexPEBW and EdgePEBW.
+//! VertexPEBW and EdgePEBW: the all-egos driver
+//! [`egobtw_core::compute_all::all_egos`] with its phase-1 edge claims cut
+//! by owner vertex or by edge count.
 
-use egobtw_core::smap::PairMap;
-use egobtw_graph::{CsrGraph, DegreeOrder, EdgeSet, OrientedGraph, VertexId};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use egobtw_core::compute_all::{all_egos, EdgeChunks};
+use egobtw_core::Cancel;
+use egobtw_graph::CsrGraph;
 
-/// Work pulled per `fetch_add`, amortizing cursor contention without
-/// hurting balance (items are cheap; 64 keeps the tail short).
-const CHUNK: usize = 64;
-
-/// Shared mutable state: one locked map per vertex.
-struct SharedMaps {
-    maps: Vec<Mutex<PairMap>>,
+fn pebw(g: &CsrGraph, threads: usize, chunks: EdgeChunks) -> Vec<f64> {
+    all_egos(g, threads, chunks, &Cancel::never())
+        .expect("a never-cancelled pass cannot be cancelled")
+        .0
 }
 
-impl SharedMaps {
-    fn new(n: usize) -> Self {
-        SharedMaps {
-            maps: (0..n).map(|_| Mutex::new(PairMap::default())).collect(),
-        }
-    }
-
-    /// Processes one undirected edge `(a,b)` given its sorted common
-    /// neighborhood. Locks are acquired one map at a time.
-    #[inline]
-    fn apply_edge(&self, edges: &EdgeSet, a: VertexId, b: VertexId, common: &[VertexId]) {
-        for &x in common {
-            self.maps[x as usize].lock().set_edge(a, b);
-        }
-        if common.len() < 2 {
-            return;
-        }
-        // Batch this edge's connector bumps per endpoint map: one lock
-        // acquisition per endpoint instead of one per diamond.
-        let mut map_a = self.maps[a as usize].lock();
-        for (i, &x) in common.iter().enumerate() {
-            for &y in common.iter().skip(i + 1) {
-                if !edges.contains(x, y) {
-                    map_a.add_connector(x, y);
-                }
-            }
-        }
-        drop(map_a);
-        let mut map_b = self.maps[b as usize].lock();
-        for (i, &x) in common.iter().enumerate() {
-            for &y in common.iter().skip(i + 1) {
-                if !edges.contains(x, y) {
-                    map_b.add_connector(x, y);
-                }
-            }
-        }
-    }
-
-    /// Finalizes `CB` for every vertex in parallel. Uses the deterministic
-    /// sorted-entry summation, so the result is bit-identical to
-    /// sequential `compute_all` at every thread count — the map *content*
-    /// is schedule-independent, and sorting fixes the float association.
-    ///
-    /// A vertex's cost here scales with its ego-net (hub rows hold far
-    /// more pairs than leaf rows), so static `n/threads` ranges strand
-    /// every thread behind whichever one drew the hubs — the measured
-    /// cause of `edge_pebw` t=4 regressing below t=2 on hub-heavy graphs.
-    /// A fine-grained atomic cursor self-balances instead; each slot is
-    /// written exactly once, so routing the f64 bits through `AtomicU64`
-    /// changes nothing about the value.
-    fn finalize(self, g: &CsrGraph, threads: usize) -> Vec<f64> {
-        let n = g.n();
-        if n == 0 {
-            return Vec::new();
-        }
-        let cb: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        let cursor = AtomicUsize::new(0);
-        let maps = &self.maps;
-        std::thread::scope(|s| {
-            for _ in 0..threads.max(1) {
-                s.spawn(|| loop {
-                    let start = cursor.fetch_add(CHUNK, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    for v in start..(start + CHUNK).min(n) {
-                        let val = maps[v].lock().cb_given_degree_det(g.degree(v as VertexId));
-                        cb[v].store(val.to_bits(), Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        cb.into_iter()
-            .map(|bits| f64::from_bits(bits.into_inner()))
-            .collect()
-    }
-}
-
-/// **VertexPEBW**: vertices are the unit of work; each processes the edges
-/// it owns under the `≺` orientation (hubs own many — skewed load).
+/// **VertexPEBW**: a claim is a run of owner vertices with every edge they
+/// own (an edge belongs to its smaller id), so a hub's bundle is one claim
+/// — the skewed load the paper observes.
 pub fn vertex_pebw(g: &CsrGraph, threads: usize) -> Vec<f64> {
-    assert!(threads >= 1);
-    let order = DegreeOrder::new(g);
-    let og = OrientedGraph::new(g, &order);
-    let edges = EdgeSet::from_graph(g);
-    let shared = SharedMaps::new(g.n());
-    let cursor = AtomicUsize::new(0);
-    let n = g.n();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                let mut common: Vec<VertexId> = Vec::new();
-                loop {
-                    let start = cursor.fetch_add(CHUNK, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    for i in start..(start + CHUNK).min(n) {
-                        let u = order.at(i);
-                        for &v in og.out_neighbors(u) {
-                            common.clear();
-                            g.common_neighbors_into(u, v, &mut common);
-                            shared.apply_edge(&edges, u, v, &common);
-                        }
-                    }
-                }
-            });
-        }
-    });
-    shared.finalize(g, threads)
+    pebw(g, threads, EdgeChunks::ByOwner)
 }
 
-/// **EdgePEBW**: individual oriented edges are the unit of work — the
-/// balanced variant.
+/// **EdgePEBW**: a claim is a fixed number of edges — the balanced
+/// variant.
 pub fn edge_pebw(g: &CsrGraph, threads: usize) -> Vec<f64> {
-    assert!(threads >= 1);
-    let edge_list: Vec<(VertexId, VertexId)> = g.edges().collect();
-    let edges = EdgeSet::from_graph(g);
-    let shared = SharedMaps::new(g.n());
-    let cursor = AtomicUsize::new(0);
-    let m = edge_list.len();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                let mut common: Vec<VertexId> = Vec::new();
-                loop {
-                    let start = cursor.fetch_add(CHUNK, Ordering::Relaxed);
-                    if start >= m {
-                        break;
-                    }
-                    for &(a, b) in &edge_list[start..(start + CHUNK).min(m)] {
-                        common.clear();
-                        g.common_neighbors_into(a, b, &mut common);
-                        shared.apply_edge(&edges, a, b, &common);
-                    }
-                }
-            });
-        }
-    });
-    shared.finalize(g, threads)
+    pebw(g, threads, EdgeChunks::ByCount)
 }
 
 #[cfg(test)]
@@ -199,8 +68,31 @@ mod tests {
     }
 
     #[test]
+    fn hub_graphs_bit_identical_to_naive() {
+        use egobtw_core::compute_all_naive;
+        use egobtw_gen::rmat::{rmat, RmatParams};
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for seed in 0..3 {
+            let g = rmat(9, 4, RmatParams::skewed(), seed);
+            let naive = bits(&compute_all_naive(&g));
+            for threads in [1usize, 2, 4] {
+                assert_eq!(
+                    bits(&vertex_pebw(&g, threads)),
+                    naive,
+                    "vertex t={threads} seed={seed}"
+                );
+                assert_eq!(
+                    bits(&edge_pebw(&g, threads)),
+                    naive,
+                    "edge t={threads} seed={seed}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn repeated_runs_agree() {
-        // Interleaving must not change results beyond float association.
+        // Interleaving must not change results.
         let g = gnp(80, 0.1, 5);
         let a = edge_pebw(&g, 4);
         let b = edge_pebw(&g, 4);
@@ -211,12 +103,11 @@ mod tests {
 
     #[test]
     fn thread_sweep_bit_identical_on_community_graphs() {
-        // The deterministic sorted-entry finalize makes the parallel
-        // output *exactly* equal to sequential `compute_all` — same bits,
-        // no epsilon — at every thread count, because the shared maps'
-        // final content is schedule-independent and the summation order
-        // is fixed. Community graphs are the triangle-dense regime where
-        // the most cross-thread map traffic happens.
+        // Every ego is scored by the kernel, whichever thread claims it,
+        // so the parallel output is *exactly* equal to sequential
+        // `compute_all` — same bits, no epsilon — at every thread count.
+        // Community graphs are the triangle-dense regime where the most
+        // egos go through the kernel.
         use egobtw_gen::community::PlantedPartition;
         for seed in 0..3u64 {
             let g = egobtw_gen::planted_partition(
@@ -247,7 +138,7 @@ mod tests {
     #[test]
     fn thread_sweep_bit_identical_across_repeats() {
         // Re-running at the same thread count must also be bit-stable:
-        // scheduling noise may reorder map construction, never content.
+        // scheduling noise may reorder claims, never scores.
         let g = egobtw_gen::planted_partition(
             egobtw_gen::community::PlantedPartition {
                 communities: 5,
