@@ -14,7 +14,7 @@
 //!   exp5       Fig. 10     parallel runtime and speedup, varying threads
 //!   exp6       Fig. 11     TopBW vs TopEBW: runtime and overlap
 //!   exp7       Fig. 12 + Tables III/IV   case study on DB/IR stand-ins
-//!   ablate     (extra)     design-choice ablations
+//!   ablate     (extra)     design-choice ablations: all-egos driver, intersection kernels
 //!   all        everything above
 //! ```
 //!
@@ -28,10 +28,16 @@ use egobtw_core::{
 };
 use egobtw_dynamic::{LazyTopK, LocalIndex};
 use egobtw_gen::sample::{edge_sample, vertex_sample};
-use egobtw_graph::VertexId;
+use egobtw_graph::intersect::{
+    bitmap_bitmap_intersection_count, gallop_intersection_count, intersection_count,
+    merge_intersection_count, pack_bitmap, slice_bitmap_intersection_count, GALLOP_RATIO,
+};
+use egobtw_graph::{CsrGraph, HybridConfig, VertexId};
 use egobtw_parallel::{edge_pebw, vertex_pebw};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::hint::black_box;
+use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -466,8 +472,120 @@ fn ablate(scale: f64) {
             vec!["per-ego straightforward".into(), ms(t_naive)],
         ],
     );
-    println!(
-        "\n(intersection-kernel and edge-membership ablations live in the\n\
-         criterion bench `micro`: cargo bench -p egobtw-bench --bench micro)"
-    );
+    kernel_ablation();
+}
+
+/// Strictly ascending slice of `len` distinct ids from `0..universe`.
+fn sorted_random(len: usize, universe: u32, seed: u64) -> Vec<VertexId> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut s = std::collections::BTreeSet::new();
+    while s.len() < len {
+        s.insert(rng.random_range(0..universe));
+    }
+    s.into_iter().collect()
+}
+
+/// Best of 7 runs of the per-call time of `f`, in ns; each run repeats
+/// `f` for about a millisecond.
+fn ns_per_call(mut f: impl FnMut() -> usize) -> f64 {
+    let t0 = Instant::now();
+    black_box(f());
+    let iters = (1_000_000 / t0.elapsed().as_nanos().max(1)).clamp(1, 100_000) as usize;
+    (0..7)
+        .map(|_| {
+            let t0 = Instant::now();
+            for _ in 0..iters {
+                black_box(f());
+            }
+            t0.elapsed().as_nanos() as f64 / iters as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The intersection kernels behind every engine, and the dispatch
+/// constants they are picked by (`intersect::GALLOP_RATIO` and the
+/// bitmap rule in `CsrGraph::common_neighbors_into`). Shapes are fixed,
+/// independent of `--scale`.
+fn kernel_ablation() {
+    let ns = |f: &mut dyn FnMut() -> usize| format!("{:.0}", ns_per_call(f));
+    let slices = |la: usize, lb: usize, seed: u64| -> Vec<String> {
+        let a = sorted_random(la, 1 << 20, seed);
+        let b = sorted_random(lb, 1 << 20, seed + 1);
+        let (a, b) = (&a, &b);
+        let picks = if la.min(lb) * GALLOP_RATIO < la.max(lb) {
+            "gallop"
+        } else {
+            "merge"
+        };
+        vec![
+            format!("{la}x{lb}"),
+            ns(&mut || merge_intersection_count(black_box(a), black_box(b))),
+            ns(&mut || gallop_intersection_count(black_box(a), black_box(b))),
+            ns(&mut || intersection_count(black_box(a), black_box(b))),
+            picks.into(),
+        ]
+    };
+    let headers = [
+        "shape",
+        "merge (ns)",
+        "gallop (ns)",
+        "adaptive (ns)",
+        "picks",
+    ];
+    println!("\nslice kernels, per call:");
+    let rows: Vec<_> = [(1_000, 1_000), (32, 10_000), (4, 50_000)]
+        .into_iter()
+        .map(|(la, lb)| slices(la, lb, 1))
+        .collect();
+    print_table(&headers, &rows);
+    println!("\nmerge/gallop crossover (adaptive gallops once short·{GALLOP_RATIO} < long):");
+    let rows: Vec<_> = [256, 512, 1_024, 2_048, 4_096, 8_192]
+        .into_iter()
+        .map(|lb| slices(64, lb, 21))
+        .collect();
+    print_table(&headers, &rows);
+
+    // Hub shapes: probes into a 20,000-id row over a 2^20 universe, two
+    // hub rows against each other, and every edge of a power-law graph.
+    let universe = 1u32 << 20;
+    let words = (universe as usize).div_ceil(64);
+    let hub_a = sorted_random(20_000, universe, 11);
+    let hub_b = sorted_random(16_000, universe, 12);
+    let (row_a, row_b) = (pack_bitmap(&hub_a, words), pack_bitmap(&hub_b, words));
+    let mut rows = Vec::new();
+    for probe_len in [8, 64, 1_024] {
+        let probe = sorted_random(probe_len, universe, 13);
+        rows.push(vec![
+            format!("{probe_len}x{}", hub_a.len()),
+            "gallop".into(),
+            ns(&mut || gallop_intersection_count(black_box(&probe), black_box(&hub_a))),
+            "slice x bitmap".into(),
+            ns(&mut || slice_bitmap_intersection_count(black_box(&probe), black_box(&row_a))),
+        ]);
+    }
+    rows.push(vec![
+        format!("{}x{}", hub_a.len(), hub_b.len()),
+        "merge".into(),
+        ns(&mut || merge_intersection_count(black_box(&hub_a), black_box(&hub_b))),
+        "bitmap x bitmap".into(),
+        ns(&mut || bitmap_bitmap_intersection_count(black_box(&row_a), black_box(&row_b))),
+    ]);
+    let hybrid = egobtw_gen::barabasi_albert(10_000, 8, 5);
+    let plain = hybrid.with_hybrid_config(&HybridConfig::disabled());
+    let edges: Vec<(VertexId, VertexId)> = hybrid.edges().collect();
+    let all_edges = |g: &CsrGraph| {
+        edges
+            .iter()
+            .map(|&(u, v)| black_box(g).common_neighbor_count(u, v))
+            .sum::<usize>()
+    };
+    rows.push(vec![
+        format!("all edges BA(10k,8), {} hub rows", hybrid.hub_count()),
+        "no hub rows".into(),
+        ns(&mut || all_edges(&plain)),
+        "hub rows".into(),
+        ns(&mut || all_edges(&hybrid)),
+    ]);
+    println!("\nhub bitmap kernels, per call:");
+    print_table(&["shape", "slice kernel", "ns", "hub kernel", "ns"], &rows);
 }

@@ -1,5 +1,5 @@
-//! Shared harness for the experiment reproduction driver and the
-//! Criterion benches: the synthetic dataset registry (stand-ins for the
+//! Shared harness for the experiment reproduction driver and the perf
+//! harness: the synthetic dataset registry (stand-ins for the
 //! paper's five SNAP graphs — [`standins`]), wall-clock helpers, and
 //! fixed-width table printing that mirrors the paper's layout.
 

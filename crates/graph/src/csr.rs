@@ -12,13 +12,12 @@
 //! in; a bitmap row turns each such rescan from `O(d_hub)` merge work into
 //! one bit-probe per element of the *short* side. The degree threshold is
 //! auto-chosen at build under a memory budget (see [`HybridConfig`]), and
-//! [`CsrGraph::common_neighbors_into_with`] dispatches adaptively between
+//! [`CsrGraph::common_neighbors_into`] dispatches adaptively between
 //! merge, gallop, slice×bitmap, and bitmap×bitmap kernels.
 
 use crate::intersect::{
-    bitmap_bitmap_intersect_into, bitmap_bitmap_intersection_count, intersect_into_with,
-    intersection_count_with, slice_bitmap_intersect_into, slice_bitmap_intersection_count,
-    KernelParams,
+    bitmap_bitmap_intersect_into, bitmap_bitmap_intersection_count, intersect_into,
+    intersection_count, slice_bitmap_intersect_into, slice_bitmap_intersection_count,
 };
 use crate::pair::pack_pair;
 use crate::VertexId;
@@ -518,12 +517,16 @@ impl CsrGraph {
     }
 
     /// Appends the sorted common neighborhood `N(u) ∩ N(v)` to `out`,
-    /// dispatching adaptively over the hybrid representation with default
-    /// [`KernelParams`]. This is the common-neighbor entry point every
-    /// engine routes through.
+    /// dispatching adaptively over the hybrid representation (merge,
+    /// gallop, slice×bitmap or bitmap×bitmap). This is the common-neighbor
+    /// entry point every engine routes through.
     #[inline]
     pub fn common_neighbors_into(&self, u: VertexId, v: VertexId, out: &mut Vec<VertexId>) {
-        self.common_neighbors_into_with(u, v, &KernelParams::new(), out);
+        match self.pick_kernel(u, v) {
+            CnKernel::BitmapBitmap(ra, rb) => bitmap_bitmap_intersect_into(ra, rb, out),
+            CnKernel::SliceBitmap(slice, row) => slice_bitmap_intersect_into(slice, row, out),
+            CnKernel::Slices(na, nb) => intersect_into(na, nb, out),
+        }
     }
 
     /// Picks the kernel for one common-neighbor query, with `a` the
@@ -537,7 +540,11 @@ impl CsrGraph {
     /// Single source of truth for the dispatch heuristic, so the
     /// materializing and counting entry points can never drift apart.
     #[inline]
-    fn pick_kernel(&self, u: VertexId, v: VertexId, params: &KernelParams) -> CnKernel<'_> {
+    fn pick_kernel(&self, u: VertexId, v: VertexId) -> CnKernel<'_> {
+        // Bitmap×bitmap is chosen over probing the short slice into the
+        // long row when `short_len · BITMAP_WORD_RATIO ≥ words_per_row`,
+        // i.e. one 64-bit word op is costed at a quarter of a slice probe.
+        const BITMAP_WORD_RATIO: usize = 4;
         let (a, b) = if self.degree(u) <= self.degree(v) {
             (u, v)
         } else {
@@ -547,8 +554,7 @@ impl CsrGraph {
         match self.hubs.row(b) {
             Some(row_b) => match self.hubs.row(a) {
                 Some(row_a)
-                    if na.len().saturating_mul(params.bitmap_word_ratio)
-                        >= self.hubs.words_per_row =>
+                    if na.len().saturating_mul(BITMAP_WORD_RATIO) >= self.hubs.words_per_row =>
                 {
                     CnKernel::BitmapBitmap(row_a, row_b)
                 }
@@ -558,40 +564,14 @@ impl CsrGraph {
         }
     }
 
-    /// [`CsrGraph::common_neighbors_into`] with explicit dispatch
-    /// thresholds (see [`CsrGraph::pick_kernel`] for the heuristic).
-    pub fn common_neighbors_into_with(
-        &self,
-        u: VertexId,
-        v: VertexId,
-        params: &KernelParams,
-        out: &mut Vec<VertexId>,
-    ) {
-        match self.pick_kernel(u, v, params) {
-            CnKernel::BitmapBitmap(ra, rb) => bitmap_bitmap_intersect_into(ra, rb, out),
-            CnKernel::SliceBitmap(slice, row) => slice_bitmap_intersect_into(slice, row, out),
-            CnKernel::Slices(na, nb) => intersect_into_with(na, nb, params, out),
-        }
-    }
-
     /// `|N(u) ∩ N(v)|` without materializing, same dispatch as
     /// [`CsrGraph::common_neighbors_into`].
     #[inline]
     pub fn common_neighbor_count(&self, u: VertexId, v: VertexId) -> usize {
-        self.common_neighbor_count_with(u, v, &KernelParams::new())
-    }
-
-    /// [`CsrGraph::common_neighbor_count`] with explicit thresholds.
-    pub fn common_neighbor_count_with(
-        &self,
-        u: VertexId,
-        v: VertexId,
-        params: &KernelParams,
-    ) -> usize {
-        match self.pick_kernel(u, v, params) {
+        match self.pick_kernel(u, v) {
             CnKernel::BitmapBitmap(ra, rb) => bitmap_bitmap_intersection_count(ra, rb),
             CnKernel::SliceBitmap(slice, row) => slice_bitmap_intersection_count(slice, row),
-            CnKernel::Slices(na, nb) => intersection_count_with(na, nb, params),
+            CnKernel::Slices(na, nb) => intersection_count(na, nb),
         }
     }
 

@@ -14,98 +14,36 @@
 //!   `n/64` words beats probing.
 //!
 //! [`intersect_into`] / [`intersection_count`] pick adaptively between the
-//! slice kernels; the bitmap-aware dispatch lives in
-//! [`crate::CsrGraph::common_neighbors_into_with`], because only the graph
-//! knows which vertices own bitmap rows. All thresholds are carried by
-//! [`KernelParams`] so harnesses can pin or sweep them.
+//! slice kernels at [`GALLOP_RATIO`]; the bitmap-aware dispatch lives in
+//! [`crate::CsrGraph::common_neighbors_into`], because only the graph
+//! knows which vertices own bitmap rows. `repro ablate` times every kernel
+//! and the merge/gallop crossover behind the ratio.
 
 use crate::VertexId;
 
-/// Dispatch thresholds for the adaptive intersection kernels.
-///
-/// The defaults are the values chosen by the `micro` criterion bench;
-/// [`KernelParams::legacy`] pins the pre-hybrid behavior (merge/gallop
-/// only, as shipped before bitmap rows existed) for baseline timing in
-/// `bench/src/bin/perf.rs`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct KernelParams {
-    /// Length ratio above which galloping beats the linear merge
-    /// (`short · gallop_ratio < long`). 16–64 are all reasonable; see the
-    /// `intersection` group of the `micro` bench.
-    pub gallop_ratio: usize,
-    /// Bitmap×bitmap is chosen over probing the short slice into the long
-    /// row when `short_len · bitmap_word_ratio ≥ words_per_row` — i.e. one
-    /// 64-bit word op is costed at `1/bitmap_word_ratio` slice probes.
-    pub bitmap_word_ratio: usize,
-}
-
-impl KernelParams {
-    /// The tuned defaults (also what [`Default`] returns; `const` so the
-    /// zero-argument entry points stay allocation- and branch-free).
-    pub const fn new() -> Self {
-        KernelParams {
-            gallop_ratio: 32,
-            bitmap_word_ratio: 4,
-        }
-    }
-
-    /// The pre-hybrid kernel behavior: merge/gallop dispatch exactly as it
-    /// shipped before bitmap rows existed. Used by the perf harness to
-    /// measure speedups against the recorded baseline — pair it with a
-    /// bitmap-free graph (`HybridConfig::disabled()`): params steer the
-    /// bitmap×bitmap/slice×bitmap choice but cannot disable hub rows a
-    /// graph already carries.
-    pub const fn legacy() -> Self {
-        KernelParams {
-            gallop_ratio: 32,
-            // `short·ratio ≥ words_per_row` picks bitmap×bitmap, so 0
-            // means "never" (rows have ≥ 1 word).
-            bitmap_word_ratio: 0,
-        }
-    }
-}
-
-impl Default for KernelParams {
-    fn default() -> Self {
-        KernelParams::new()
-    }
-}
+/// Length ratio above which galloping beats the linear merge
+/// (`short · GALLOP_RATIO < long`). `repro ablate` prints merge, gallop
+/// and adaptive at 64 × 256…8192, the crossover this ratio sits on.
+pub const GALLOP_RATIO: usize = 32;
 
 /// Appends `a ∩ b` to `out` (both inputs strictly ascending), picking
-/// merge or gallop with the default [`KernelParams`].
+/// merge or gallop by [`GALLOP_RATIO`].
 #[inline]
 pub fn intersect_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
-    intersect_into_with(a, b, &KernelParams::new(), out);
-}
-
-/// [`intersect_into`] with explicit dispatch thresholds.
-#[inline]
-pub fn intersect_into_with(
-    a: &[VertexId],
-    b: &[VertexId],
-    params: &KernelParams,
-    out: &mut Vec<VertexId>,
-) {
     let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if short.len().saturating_mul(params.gallop_ratio) < long.len() {
+    if short.len().saturating_mul(GALLOP_RATIO) < long.len() {
         gallop_intersect_into(short, long, out);
     } else {
         merge_intersect_into(a, b, out);
     }
 }
 
-/// `|a ∩ b|` without materializing the intersection, with the default
-/// [`KernelParams`].
+/// `|a ∩ b|` without materializing the intersection, same dispatch as
+/// [`intersect_into`].
 #[inline]
 pub fn intersection_count(a: &[VertexId], b: &[VertexId]) -> usize {
-    intersection_count_with(a, b, &KernelParams::new())
-}
-
-/// [`intersection_count`] with explicit dispatch thresholds.
-#[inline]
-pub fn intersection_count_with(a: &[VertexId], b: &[VertexId], params: &KernelParams) -> usize {
     let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if short.len().saturating_mul(params.gallop_ratio) < long.len() {
+    if short.len().saturating_mul(GALLOP_RATIO) < long.len() {
         gallop_intersection_count(short, long)
     } else {
         merge_intersection_count(a, b)
@@ -243,7 +181,7 @@ pub fn bitmap_bitmap_intersection_count(a: &[u64], b: &[u64]) -> usize {
 }
 
 /// Packs a strictly ascending id slice into a bitmap with `words` words
-/// (ids `≥ 64 · words` are ignored). Helper for tests and benches; the
+/// (ids `≥ 64 · words` are ignored). Helper for tests and ablations; the
 /// hybrid graph builds its hub rows directly.
 pub fn pack_bitmap(slice: &[VertexId], words: usize) -> Vec<u64> {
     let mut out = vec![0u64; words];
@@ -311,23 +249,14 @@ mod tests {
     fn params_dispatch_matches_fixed_kernels() {
         let a: Vec<u32> = (0..400).map(|x| x * 2).collect();
         let b = vec![4u32, 100, 399, 400];
-        let merge_only = KernelParams {
-            gallop_ratio: usize::MAX,
-            ..KernelParams::new()
-        };
-        let gallop_always = KernelParams {
-            gallop_ratio: 0,
-            ..KernelParams::new()
-        };
-        let mut m = Vec::new();
-        intersect_into_with(&a, &b, &merge_only, &mut m);
-        let mut g = Vec::new();
-        intersect_into_with(&a, &b, &gallop_always, &mut g);
-        assert_eq!(m, g);
-        assert_eq!(m, vec![4, 100, 400]);
-        assert_eq!(intersection_count_with(&a, &b, &merge_only), 3);
-        assert_eq!(intersection_count_with(&a, &b, &gallop_always), 3);
-        assert_eq!(KernelParams::default(), KernelParams::new());
+        let (mut ad, mut m, mut g) = (Vec::new(), Vec::new(), Vec::new());
+        intersect_into(&a, &b, &mut ad);
+        merge_intersect_into(&a, &b, &mut m);
+        gallop_intersect_into(&b, &a, &mut g);
+        assert_eq!(ad, m);
+        assert_eq!(ad, g);
+        assert_eq!(ad, vec![4, 100, 400]);
+        assert_eq!(intersection_count(&a, &b), 3);
     }
 
     /// Random strictly-ascending slice: up to 120 values drawn from 0..500.

@@ -43,7 +43,6 @@ pub use csr::{CsrGraph, HybridConfig};
 pub use dynamic::DynGraph;
 pub use edgeset::EdgeSet;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use intersect::KernelParams;
 pub use order::{DegreeOrder, OrientedGraph, Relabeling};
 pub use pair::{pack_pair, unpack_pair};
 

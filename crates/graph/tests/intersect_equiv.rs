@@ -1,16 +1,16 @@
 //! Property tests for the intersection kernel matrix.
 //!
-//! Every kernel variant — merge, gallop, adaptive slice dispatch at
-//! several [`KernelParams`], slice×bitmap, bitmap×bitmap, and the
-//! graph-level hybrid dispatcher — must agree with the quadratic
-//! reference on seeded random and adversarially skewed inputs, including
-//! empty slices, disjoint ranges, and full overlap.
+//! Every kernel variant — merge, gallop, adaptive slice dispatch,
+//! slice×bitmap, bitmap×bitmap, and the graph-level hybrid dispatcher —
+//! must agree with the quadratic reference on seeded random and
+//! adversarially skewed inputs, including empty slices, disjoint ranges,
+//! full overlap, and lengths on either side of each dispatch threshold.
 
 use egobtw_graph::intersect::{
     bitmap_bitmap_intersect_into, bitmap_bitmap_intersection_count, gallop_intersect_into,
-    gallop_intersection_count, intersect_into, intersect_into_with, intersection_count,
-    intersection_count_with, merge_intersect_into, merge_intersection_count, pack_bitmap,
-    slice_bitmap_intersect_into, slice_bitmap_intersection_count, KernelParams,
+    gallop_intersection_count, intersect_into, intersection_count, merge_intersect_into,
+    merge_intersection_count, pack_bitmap, slice_bitmap_intersect_into,
+    slice_bitmap_intersection_count, GALLOP_RATIO,
 };
 use egobtw_graph::{CsrGraph, HybridConfig, VertexId};
 use rand::rngs::StdRng;
@@ -38,32 +38,10 @@ fn assert_all_kernels_agree(a: &[VertexId], b: &[VertexId], universe: u32) {
     assert_eq!(out, expect, "gallop");
     assert_eq!(gallop_intersection_count(short, long), n, "gallop count");
 
-    // Adaptive dispatch must be parameter-insensitive.
-    for params in [
-        KernelParams::new(),
-        KernelParams::legacy(),
-        KernelParams {
-            gallop_ratio: 0,
-            ..KernelParams::new()
-        },
-        KernelParams {
-            gallop_ratio: 1,
-            ..KernelParams::new()
-        },
-        KernelParams {
-            gallop_ratio: usize::MAX,
-            ..KernelParams::new()
-        },
-    ] {
-        out.clear();
-        intersect_into_with(a, b, &params, &mut out);
-        assert_eq!(out, expect, "adaptive {params:?}");
-        assert_eq!(intersection_count_with(a, b, &params), n, "{params:?}");
-    }
     out.clear();
     intersect_into(a, b, &mut out);
-    assert_eq!(out, expect, "default adaptive");
-    assert_eq!(intersection_count(a, b), n, "default adaptive count");
+    assert_eq!(out, expect, "adaptive");
+    assert_eq!(intersection_count(a, b), n, "adaptive count");
 
     // Bitmap kernels over the same universe.
     let words = (universe as usize).div_ceil(64).max(1);
@@ -143,6 +121,19 @@ fn adversarial_edge_cases() {
     assert_all_kernels_agree(&[0], &low, 1_100);
     assert_all_kernels_agree(&[99], &low, 1_100);
     assert_all_kernels_agree(&[63], &[63], 64);
+    // Merge/gallop boundary: `short · GALLOP_RATIO` equal to `long` and
+    // one either side. The long side holds the evens; the short side
+    // alternates hits (even) and misses (odd).
+    for short_len in [1u32, 2, 64] {
+        let at = short_len * GALLOP_RATIO as u32;
+        for long_len in [at - 1, at, at + 1] {
+            let long: Vec<VertexId> = (0..long_len).map(|x| 2 * x).collect();
+            let step = 2 * (long_len / short_len);
+            let short: Vec<VertexId> = (0..short_len).map(|i| i * step + i % 2).collect();
+            assert_all_kernels_agree(&short, &long, 2 * long_len);
+            assert_all_kernels_agree(&long, &short, 2 * long_len);
+        }
+    }
 }
 
 #[test]
@@ -150,7 +141,8 @@ fn hybrid_dispatcher_matches_plain_on_random_graphs() {
     // Graph-level property: for every vertex pair, the hybrid dispatcher
     // (whatever kernel it picks) agrees with the hub-free merge path.
     let mut rng = StdRng::seed_from_u64(0xD15);
-    for trial in 0..12 {
+    let mut graphs = Vec::new();
+    for _ in 0..12 {
         let n = rng.random_range(10..120usize);
         let p = rng.random_range(0.05..0.5);
         let mut edges = Vec::new();
@@ -161,10 +153,25 @@ fn hybrid_dispatcher_matches_plain_on_random_graphs() {
                 }
             }
         }
-        let plain = CsrGraph::from_edges_with(n, &edges, &HybridConfig::disabled());
-        let auto = CsrGraph::from_edges(n, &edges);
-        let dense = CsrGraph::from_edges_with(n, &edges, &HybridConfig::dense());
+        graphs.push((n, edges));
+    }
+    // Bitmap×bitmap vs slice×bitmap boundary: with n = 512 a row is 8
+    // words, and the dispatcher ANDs two rows once `short · 4 ≥ 8`. Hub
+    // 0 meets vertex 1 (degree 2, exactly at the boundary: bitmap×bitmap)
+    // and vertex 3 (degree 1, below it: slice×bitmap).
+    let mut edges: Vec<(VertexId, VertexId)> = (1..=300).map(|v| (0, v)).collect();
+    edges.push((1, 2));
+    graphs.push((512, edges));
+
+    for (trial, (n, edges)) in graphs.iter().enumerate() {
+        let n = *n;
+        let plain = CsrGraph::from_edges_with(n, edges, &HybridConfig::disabled());
+        let auto = CsrGraph::from_edges(n, edges);
+        let dense = CsrGraph::from_edges_with(n, edges, &HybridConfig::dense());
         assert_eq!(dense.validate(), Ok(()));
+        if n == 512 {
+            assert!([0, 1, 3].iter().all(|&v| dense.hub_bitmap(v).is_some()));
+        }
         let mut want = Vec::new();
         let mut got = Vec::new();
         for u in plain.vertices() {

@@ -15,9 +15,9 @@
 //!     --gen NAME=FAMILY:SCALE:SEED[:MODE]  synthesize instead (repeatable,
 //!                                 in-process target only)
 //!     --mix NAME:FRAC  named read/write scenario, e.g. read-heavy:0.1
-//!                   (repeatable; every dataset runs once per mix; without
-//!                   any --mix or extra scenario a single `default` mix at
-//!                   --write-frac runs)
+//!                   (repeatable; every dataset runs once per mix; name at
+//!                   least one --mix, --recovery, --skew, --tenants or
+//!                   --overload)
 //!     --recovery    add the restart-recovery scenario: per dataset, a WAL
 //!                   write burst, a teardown, a timed recovery, then
 //!                   oracle-checked reads (always in-process)
@@ -30,7 +30,6 @@
 //!                   tiny datasets in one catalog (always in-process)
 //!     --threads N   client threads per dataset (default 4)
 //!     --ops N       total ops per dataset (default 2000)
-//!     --write-frac F  update fraction of the default mix (default 0.1)
 //!     --k K         top-k size for reads (default 8)
 //!     --batch B     update ops per epoch (default 2)
 //!     --seed S      workload seed (default 42)
@@ -57,11 +56,28 @@ use egobtw_service::loadgen::{self, DatasetSpec, ExtraScenarios, LoadgenConfig, 
 use egobtw_service::server::{connect_with_retry, roundtrip};
 use egobtw_service::Service;
 use std::io::Read;
+use std::str::FromStr;
 use std::time::Duration;
 
 fn fail(msg: &str) -> ! {
     eprintln!("egobtw-cli: {msg}");
     std::process::exit(2);
+}
+
+/// Parses the value `s` of `flag` as a `T`. Integer flags parse as
+/// integers, so a fraction, a sign or `nan` is refused rather than cast.
+fn parse_flag<T: FromStr>(flag: &str, s: &str) -> Result<T, String> {
+    s.parse().map_err(|_| {
+        format!(
+            "{flag}: bad value {s:?} (expected {})",
+            std::any::type_name::<T>()
+        )
+    })
+}
+
+/// [`parse_flag`], exiting with its error.
+fn parse_or_die<T: FromStr>(flag: &str, s: &str) -> T {
+    parse_flag(flag, s).unwrap_or_else(|e| fail(&e))
 }
 
 fn run_script(argv: &[String]) -> i32 {
@@ -141,18 +157,13 @@ fn run_loadgen(argv: &[String]) -> i32 {
             argv.get(i + 1)
                 .unwrap_or_else(|| fail(&format!("{} needs a value", argv[i])))
         };
-        let parse_or_die = |flag: &str, s: &str| -> f64 {
-            s.parse()
-                .unwrap_or_else(|_| fail(&format!("{flag}: bad number {s:?}")))
-        };
         match argv[i].as_str() {
             "--connect" => connect = Some(value(i).clone()),
-            "--threads" => cfg.threads = parse_or_die("--threads", value(i)) as usize,
-            "--ops" => cfg.ops = parse_or_die("--ops", value(i)) as usize,
-            "--write-frac" => cfg.write_frac = parse_or_die("--write-frac", value(i)),
-            "--k" => cfg.k = parse_or_die("--k", value(i)) as usize,
-            "--batch" => cfg.batch = parse_or_die("--batch", value(i)) as usize,
-            "--seed" => cfg.seed = parse_or_die("--seed", value(i)) as u64,
+            "--threads" => cfg.threads = parse_or_die("--threads", value(i)),
+            "--ops" => cfg.ops = parse_or_die("--ops", value(i)),
+            "--k" => cfg.k = parse_or_die("--k", value(i)),
+            "--batch" => cfg.batch = parse_or_die("--batch", value(i)),
+            "--seed" => cfg.seed = parse_or_die("--seed", value(i)),
             "--check" => {
                 cfg.check = true;
                 i += 1;
@@ -173,16 +184,12 @@ fn run_loadgen(argv: &[String]) -> i32 {
                 i += 1;
                 continue;
             }
-            "--tenants" => extras.tenants = parse_or_die("--tenants", value(i)) as usize,
-            "--check-max-n" => cfg.check_max_n = parse_or_die("--check-max-n", value(i)) as usize,
+            "--tenants" => extras.tenants = parse_or_die("--tenants", value(i)),
+            "--check-max-n" => cfg.check_max_n = parse_or_die("--check-max-n", value(i)),
             "--out" => out = value(i).clone(),
             "--validate" => validate_path = Some(value(i).clone()),
-            "--expect-datasets" => {
-                expect_datasets = parse_or_die("--expect-datasets", value(i)) as usize
-            }
-            "--expect-scenarios" => {
-                expect_scenarios = parse_or_die("--expect-scenarios", value(i)) as usize
-            }
+            "--expect-datasets" => expect_datasets = parse_or_die("--expect-datasets", value(i)),
+            "--expect-scenarios" => expect_scenarios = parse_or_die("--expect-scenarios", value(i)),
             "--mix" => {
                 let spec = value(i);
                 let (name, frac) = spec
@@ -221,7 +228,7 @@ fn run_loadgen(argv: &[String]) -> i32 {
                 }
                 let family = parts[0];
                 let scale: f64 = parse_or_die("--gen scale", parts[1]);
-                let seed = parse_or_die("--gen seed", parts[2]) as u64;
+                let seed: u64 = parse_or_die("--gen seed", parts[2]);
                 let mode = if parts.len() > 3 {
                     Mode::parse(&parts[3..].join(":"))
                         .unwrap_or_else(|e| fail(&format!("--gen {spec:?}: {e}")))
@@ -322,16 +329,8 @@ fn run_metrics_check(argv: &[String]) -> i32 {
         };
         match argv[i].as_str() {
             "--connect" => connect = Some(value(i).clone()),
-            "--requests" => {
-                requests = value(i)
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("--requests: bad number {:?}", value(i))))
-            }
-            "--seed" => {
-                seed = value(i)
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("--seed: bad number {:?}", value(i))))
-            }
+            "--requests" => requests = parse_or_die("--requests", value(i)),
+            "--seed" => seed = parse_or_die("--seed", value(i)),
             other => fail(&format!("metrics-check: unknown flag {other:?}")),
         }
         i += 2;
@@ -374,4 +373,22 @@ fn main() {
         }
     };
     std::process::exit(code);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_flag;
+
+    #[test]
+    fn integer_flags_refuse_what_a_float_parse_would_round() {
+        // Above 2^53, where an f64 parse would merge it with ...992.
+        assert_eq!(
+            parse_flag::<u64>("--seed", "9007199254740993"),
+            Ok(9_007_199_254_740_993)
+        );
+        for (flag, bad) in [("--threads", "2.5"), ("--ops", "-5"), ("--k", "nan")] {
+            let err = parse_flag::<usize>(flag, bad).unwrap_err();
+            assert!(err.starts_with(flag), "{err}");
+        }
+    }
 }

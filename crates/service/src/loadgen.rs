@@ -108,8 +108,6 @@ pub struct LoadgenConfig {
     pub threads: usize,
     /// Total operations per dataset (reads + updates).
     pub ops: usize,
-    /// Default update fraction, used when a run names no explicit mixes.
-    pub write_frac: f64,
     /// `k` for the top-k reads.
     pub k: usize,
     /// Update ops per UPDATE command (one epoch per command).
@@ -128,7 +126,6 @@ impl Default for LoadgenConfig {
         LoadgenConfig {
             threads: 4,
             ops: 2000,
-            write_frac: 0.1,
             k: 8,
             batch: 2,
             seed: 42,
@@ -1215,10 +1212,9 @@ fn run_overload_scenario(cfg: &LoadgenConfig) -> Result<Json, String> {
 /// in `specs`, one (scenario, dataset) pair after another (each gets the
 /// configured thread count to itself), then any [`ExtraScenarios`] —
 /// restart-recovery, shard-skew, multi-tenant — and returns the
-/// `BENCH_service.json` document. With `mixes` empty and no extras, a
-/// single `default` mix at `cfg.write_frac` runs. Fails on any worker
-/// error; comparator violations are *reported in the document*, not
-/// fatal, so the caller (CI) can assert on them explicitly.
+/// `BENCH_service.json` document. Fails when no scenario is named and on
+/// any worker error; comparator violations are *reported in the
+/// document*, not fatal, so the caller (CI) can assert on them explicitly.
 pub fn run(
     target: &Target<'_>,
     cfg: &LoadgenConfig,
@@ -1229,16 +1225,13 @@ pub fn run(
     if specs.is_empty() {
         return Err("loadgen needs at least one dataset".into());
     }
-    let default_mix = [MixSpec {
-        name: "default".into(),
-        write_frac: cfg.write_frac,
-    }];
     let any_extra = extras.recovery || extras.skew || extras.tenants > 0 || extras.overload;
-    let mixes = if mixes.is_empty() && !any_extra {
-        &default_mix
-    } else {
-        mixes
-    };
+    if mixes.is_empty() && !any_extra {
+        return Err(
+            "no scenario named: pass --mix NAME:FRAC, --recovery, --skew, --tenants N or --overload"
+                .into(),
+        );
+    }
     for mix in mixes {
         if !(0.0..=1.0).contains(&mix.write_frac) {
             return Err(format!("mix {:?}: write_frac out of [0,1]", mix.name));
