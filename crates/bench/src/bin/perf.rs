@@ -23,8 +23,6 @@
 //!   --rounds R    timed rounds per case, median reported (default 5)
 //!   --warmup W    untimed runs per case (default 1)
 //!   --k K         top-k for the search engines (default 100)
-//!   --approx-scale S   R-MAT multiplier for the approx demo (default 5)
-//!   --approx-trials T  repeated (ε, δ) validation trials (default 8)
 //!   --out PATH    output file (default BENCH_topk.json)
 //!   --validate PATH   don't run: schema-check an existing file (CI smoke)
 //! ```
@@ -32,36 +30,21 @@
 //! Correctness guard: for every dataset the baseline and hybrid
 //! `compute_all` score vectors are compared (inverse-mapped, relative
 //! 1e-9) before any timing is reported.
-//!
-//! The `approx` section is the sampling-engine payoff demo: on the
-//! skewed R-MAT stand-in at `--approx-scale` (default 5), it times exact vs
-//! `approx_topk` at (ε = 0.05, δ = 0.01, k = 8) and re-runs the sampler
-//! `--approx-trials` times with fresh seeds, counting statistical-
-//! contract violations (CI containment, bounded displacement, estimate
-//! accuracy, rank-slack discipline) against the exact truth. The
-//! committed run records the observed speedup and a zero violation
-//! count; the validator enforces both.
 
 use egobtw_bench::json::Json;
-use egobtw_bench::{rmat_standin, standins};
-use egobtw_core::{approx_topk, compute_all, opt_bsearch, ApproxParams, ApproxTopk, OptParams};
+use egobtw_bench::standins;
+use egobtw_core::{compute_all, opt_bsearch, OptParams};
 use egobtw_graph::{CsrGraph, HybridConfig, Relabeling};
 use egobtw_parallel::edge_pebw;
 use std::time::Instant;
 
-const SCHEMA: &str = "egobtw/bench-topk/v2";
-/// The approx demo's fixed operating point (the headline claim).
-const APPROX_EPS: f64 = 0.05;
-const APPROX_DELTA: f64 = 0.01;
-const APPROX_K: usize = 8;
+const SCHEMA: &str = "egobtw/bench-topk/v3";
 
 struct Args {
     scale: f64,
     rounds: usize,
     warmup: usize,
     k: usize,
-    approx_scale: f64,
-    approx_trials: usize,
     out: String,
     validate: Option<String>,
 }
@@ -73,8 +56,6 @@ fn parse_args() -> Result<Args, String> {
         rounds: 5,
         warmup: 1,
         k: 100,
-        approx_scale: 5.0,
-        approx_trials: 8,
         out: "BENCH_topk.json".into(),
         validate: None,
     };
@@ -89,16 +70,6 @@ fn parse_args() -> Result<Args, String> {
             "--rounds" => args.rounds = value(i)?.parse().map_err(|e| format!("--rounds: {e}"))?,
             "--warmup" => args.warmup = value(i)?.parse().map_err(|e| format!("--warmup: {e}"))?,
             "--k" => args.k = value(i)?.parse().map_err(|e| format!("--k: {e}"))?,
-            "--approx-scale" => {
-                args.approx_scale = value(i)?
-                    .parse()
-                    .map_err(|e| format!("--approx-scale: {e}"))?;
-            }
-            "--approx-trials" => {
-                args.approx_trials = value(i)?
-                    .parse()
-                    .map_err(|e| format!("--approx-trials: {e}"))?;
-            }
             "--out" => args.out = value(i)?.clone(),
             "--validate" => args.validate = Some(value(i)?.clone()),
             other => return Err(format!("unknown flag {other:?}")),
@@ -107,9 +78,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.rounds == 0 {
         return Err("--rounds must be ≥ 1".into());
-    }
-    if args.approx_trials == 0 {
-        return Err("--approx-trials must be ≥ 1".into());
     }
     Ok(args)
 }
@@ -184,143 +152,6 @@ fn run_dataset(
     (cases, hub_stats)
 }
 
-/// Checks one sampler output against the exact truth: the same
-/// statistical contract the conformance tier's `approx_check` enforces
-/// (CI containment, bounded displacement below `c*_k`, per-entry
-/// estimate accuracy, rank-slack discipline on a clean stop). Returns a
-/// description of the first violation, if any — the δ-events the trials
-/// loop counts.
-fn approx_violation(truth: &[f64], out: &ApproxTopk, k: usize, eps: f64) -> Option<String> {
-    let expect = k.min(truth.len());
-    if out.entries.len() != expect {
-        return Some(format!(
-            "returned {} entries, expected {expect}",
-            out.entries.len()
-        ));
-    }
-    if expect == 0 {
-        return None;
-    }
-    let mut sorted = truth.to_vec();
-    sorted.sort_by(|a, b| b.total_cmp(a));
-    let ck = sorted[expect - 1];
-    let atol = 1e-9 * ck.abs().max(1.0);
-    for e in &out.entries {
-        let t = truth[e.vertex as usize];
-        if t < e.lo - atol || t > e.hi + atol {
-            return Some(format!(
-                "vertex {} true CB {t} outside CI [{}, {}]",
-                e.vertex, e.lo, e.hi
-            ));
-        }
-        if t < ck - eps * ck.max(1.0) - atol {
-            return Some(format!(
-                "vertex {} true CB {t} displaced more than ε below c*_k = {ck}",
-                e.vertex
-            ));
-        }
-        if (e.estimate - t).abs() > eps * ck.max(t).max(1.0) + atol {
-            return Some(format!(
-                "vertex {} estimate {} more than ε-slack from true CB {t}",
-                e.vertex, e.estimate
-            ));
-        }
-    }
-    if !out.budget_exhausted && out.rank_slack > eps * ck.max(1.0) + atol {
-        return Some(format!(
-            "clean stop but rank slack {} exceeds ε·max(1, c*_k)",
-            out.rank_slack
-        ));
-    }
-    None
-}
-
-/// SplitMix64 finalizer for decorrelated per-trial seeds.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The sampling-engine payoff demo + repeated-trials honesty check.
-fn run_approx(args: &Args) -> Json {
-    let d = rmat_standin(args.approx_scale);
-    let g = &d.graph;
-    eprintln!(
-        "perf: approx demo on {} at scale {} (n={}, m={}) ...",
-        d.name,
-        args.approx_scale,
-        g.n(),
-        g.m()
-    );
-
-    let t0 = Instant::now();
-    let truth = egobtw_core::compute_all(g).0;
-    let exact_ns = t0.elapsed().as_nanos() as u64;
-    eprintln!("  exact compute_all          {exact_ns:>14} ns");
-
-    let params = ApproxParams::new(APPROX_EPS, APPROX_DELTA);
-    let approx_ns = median_ns(args.warmup.min(1), args.rounds, || {
-        approx_topk(g, APPROX_K, &params)
-    });
-    let headline = approx_topk(g, APPROX_K, &params);
-    let speedup = exact_ns as f64 / (approx_ns as f64).max(1.0);
-    eprintln!(
-        "  approx_topk(eps={APPROX_EPS},delta={APPROX_DELTA},k={APPROX_K}) \
-         {approx_ns:>14} ns   {speedup:.2}x   samples={} rounds={}",
-        headline.samples_drawn, headline.rounds
-    );
-
-    // Repeated trials with fresh seeds: every run must honor the full
-    // statistical contract against the exact truth. A nonzero count here
-    // fails validation — the committed file proves an honest run.
-    let mut violations = 0usize;
-    for trial in 0..args.approx_trials {
-        let mut p = params;
-        p.seed = mix64(0xBE2C_11A7 ^ trial as u64);
-        let out = approx_topk(g, APPROX_K, &p);
-        if let Some(why) = approx_violation(&truth, &out, APPROX_K, APPROX_EPS) {
-            eprintln!("  trial {trial}: VIOLATION: {why}");
-            violations += 1;
-        }
-    }
-    eprintln!(
-        "  trials={} violations={violations} (δ promised {APPROX_DELTA})",
-        args.approx_trials
-    );
-
-    Json::Obj(vec![
-        ("dataset".into(), Json::Str(d.name.into())),
-        ("approx_scale".into(), Json::Num(args.approx_scale)),
-        ("n".into(), Json::Num(g.n() as f64)),
-        ("m".into(), Json::Num(g.m() as f64)),
-        ("k".into(), Json::Num(APPROX_K as f64)),
-        ("eps".into(), Json::Num(APPROX_EPS)),
-        ("delta".into(), Json::Num(APPROX_DELTA)),
-        ("exact_ns".into(), Json::Num(exact_ns as f64)),
-        ("approx_median_ns".into(), Json::Num(approx_ns as f64)),
-        (
-            "speedup".into(),
-            Json::Num((speedup * 1000.0).round() / 1000.0),
-        ),
-        (
-            "samples_drawn".into(),
-            Json::Num(headline.samples_drawn as f64),
-        ),
-        (
-            "sampling_rounds".into(),
-            Json::Num(f64::from(headline.rounds)),
-        ),
-        (
-            "budget_exhausted".into(),
-            Json::Bool(headline.budget_exhausted),
-        ),
-        ("trials".into(), Json::Num(args.approx_trials as f64)),
-        ("violations".into(), Json::Num(violations as f64)),
-    ])
-}
-
 fn run(args: &Args) {
     let datasets = standins(args.scale);
     let mut case_rows: Vec<Json> = Vec::new();
@@ -370,7 +201,6 @@ fn run(args: &Args) {
             Json::Str("degree-relabeled twin, auto hub-bitmap rows, adaptive dispatch".into()),
         ),
         ("cases".into(), Json::Arr(case_rows)),
-        ("approx".into(), run_approx(args)),
     ]);
     let mut text = doc.pretty();
     text.push('\n');
@@ -445,54 +275,8 @@ fn validate(path: &str) -> Result<(), String> {
         ));
     }
 
-    // v2: the approx demo section. Violations must be zero on every run;
-    // the ≥ 20× headline is enforced only at demo scale (≥ 5), so CI's
-    // small-scale regeneration still validates.
-    let approx = doc.get("approx").ok_or("missing approx section")?;
-    let num = |name: &str| {
-        approx
-            .get(name)
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("approx: missing numeric field {name:?}"))
-    };
-    for name in [
-        "n",
-        "m",
-        "k",
-        "eps",
-        "delta",
-        "exact_ns",
-        "approx_median_ns",
-    ] {
-        let x = num(name)?;
-        if !(x.is_finite() && x > 0.0) {
-            return Err(format!("approx: {name} = {x} is not a positive number"));
-        }
-    }
-    let trials = num("trials")?;
-    if trials < 1.0 {
-        return Err(format!("approx: trials = {trials}, expected ≥ 1"));
-    }
-    let violations = num("violations")?;
-    if violations != 0.0 {
-        return Err(format!(
-            "approx: {violations} statistical-contract violations recorded — \
-             the committed run must be honest"
-        ));
-    }
-    let approx_scale = num("approx_scale")?;
-    let speedup = num("speedup")?;
-    if !(speedup.is_finite() && speedup > 0.0) {
-        return Err(format!("approx: speedup = {speedup} is not positive"));
-    }
-    if approx_scale >= 5.0 && speedup < 20.0 {
-        return Err(format!(
-            "approx: speedup {speedup}x at demo scale {approx_scale}, expected ≥ 20x"
-        ));
-    }
     println!(
-        "{path}: ok ({} cases, {} datasets × {} engines; approx {speedup}x, \
-         {trials} trials, 0 violations)",
+        "{path}: ok ({} cases, {} datasets × {} engines)",
         cases.len(),
         datasets.len(),
         engines.len()
@@ -506,7 +290,7 @@ fn main() {
         Err(e) => {
             eprintln!(
                 "error: {e}\nusage: perf [--scale S] [--rounds R] [--warmup W] [--k K] \
-                 [--approx-scale S] [--approx-trials T] [--out PATH] | --validate PATH"
+                 [--out PATH] | --validate PATH"
             );
             std::process::exit(2);
         }

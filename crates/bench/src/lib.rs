@@ -24,30 +24,23 @@ fn scaled(base: usize, scale: f64) -> usize {
     ((base as f64 * scale) as usize).max(64)
 }
 
-/// The skewed R-MAT stand-in on its own — the approx-engine demo builds
-/// it at a larger multiplier than the exact sweeps can afford, so it is
-/// reusable outside [`standins`].
-pub fn rmat_standin(scale: f64) -> Dataset {
-    // R-MAT scale chosen so n tracks the multiplier.
-    let target_n = scaled(32_768, scale);
-    let s = (usize::BITS - 1 - target_n.leading_zeros()).max(8);
-    Dataset {
-        name: "wikitalk-like",
-        substitutes: "WikiTalk (communication)",
-        graph: egobtw_gen::rmat(s, 3, RmatParams::skewed(), 0xEB02),
-    }
-}
-
 /// The five stand-ins at a given size multiplier (`scale = 1.0` is the
 /// default experiment size; `--scale 0.2` gives a quick smoke run).
 pub fn standins(scale: f64) -> Vec<Dataset> {
+    // R-MAT scale chosen so n tracks the multiplier.
+    let target_n = scaled(32_768, scale);
+    let rmat_scale = (usize::BITS - 1 - target_n.leading_zeros()).max(8);
     vec![
         Dataset {
             name: "youtube-like",
             substitutes: "Youtube (social)",
             graph: egobtw_gen::barabasi_albert(scaled(30_000, scale), 3, 0xEB01),
         },
-        rmat_standin(scale),
+        Dataset {
+            name: "wikitalk-like",
+            substitutes: "WikiTalk (communication)",
+            graph: egobtw_gen::rmat(rmat_scale, 3, RmatParams::skewed(), 0xEB02),
+        },
         Dataset {
             name: "dblp-like",
             substitutes: "DBLP (collaboration)",

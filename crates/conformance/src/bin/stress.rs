@@ -10,16 +10,8 @@
 //!   --mutate KIND   inject a deliberately broken engine (tie-drop |
 //!                   bias | stale-graph | delta-stale-pair |
 //!                   delta-missed-ego | delta-no-recert |
-//!                   approx-skip-hub | approx-no-variance |
-//!                   approx-boundary-off | opt-double-credit) to
-//!                   demonstrate detection +
+//!                   opt-double-credit) to demonstrate detection +
 //!                   shrinking; the run is then EXPECTED to fail
-//!   --approx-trials N
-//!                   repeated-trials δ-check: run the honest approx
-//!                   sampler N times (fresh sampler seed per trial,
-//!                   scenarios cycled from --seed/--budget) and assert
-//!                   the empirical failure rate of the statistical
-//!                   contract is consistent with the promised δ
 //!   --chaos         serving-path chaos sweep: spawn a real daemon (path
 //!                   in $EGOBTW_SERVE_BIN), interpose the seeded fault
 //!                   proxy (delay | stall | cut | corrupt | reset), drive
@@ -34,13 +26,7 @@
 //! case is printed as a ready-to-paste `#[test]` calling
 //! `conformance::assert_case`. Exit code 1.
 
-use conformance::{
-    approx_check, check_case_with, scenario, shrink, ApproxOracle, Case, FaultyOracle, Mismatch,
-    Mutation,
-};
-use egobtw_core::naive::ego_betweenness_reference;
-use egobtw_core::{binomial_tail_ge, clopper_pearson_upper, ApproxFault, SamplingStrategy};
-use egobtw_graph::{CsrGraph, VertexId};
+use conformance::{check_case_with, scenario, shrink, Case, FaultyOracle, Mismatch, Mutation};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -49,7 +35,6 @@ struct Args {
     budget: usize,
     max_secs: Option<f64>,
     mutate: Option<Mutation>,
-    approx_trials: Option<usize>,
     chaos: bool,
     chaos_seeds: usize,
     verbose: bool,
@@ -62,7 +47,6 @@ fn parse_args() -> Result<Args, String> {
         budget: 200,
         max_secs: None,
         mutate: None,
-        approx_trials: None,
         chaos: false,
         chaos_seeds: 3,
         verbose: false,
@@ -92,14 +76,6 @@ fn parse_args() -> Result<Args, String> {
                     Some(Mutation::parse(kind).ok_or_else(|| {
                         format!("unknown mutation {kind:?} ({})", Mutation::NAMES)
                     })?);
-                i += 2;
-            }
-            "--approx-trials" => {
-                args.approx_trials = Some(
-                    value(i)?
-                        .parse()
-                        .map_err(|e| format!("--approx-trials: {e}"))?,
-                );
                 i += 2;
             }
             "--chaos" => {
@@ -277,114 +253,13 @@ fn run_chaos(args: &Args) -> i32 {
     }
 }
 
-/// SplitMix64 finalizer — decorrelates per-trial sampler seeds.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Repeated-trials δ-check: the statistical contract of the honest
-/// sampler may fail with probability at most δ per run. Run it `trials`
-/// times with fresh sampler seeds over the scenario pool, count contract
-/// violations, and reject only if that count is statistically
-/// incompatible with rate δ (one-sided binomial test at α = 10⁻³, i.e.
-/// the gate itself false-alarms on an honest sampler less than once per
-/// thousand sweeps). Exit codes: 0 consistent, 1 inconsistent.
-fn run_approx_trials(args: &Args) -> i32 {
-    let trials = args.approx_trials.unwrap();
-    const ALPHA: f64 = 1e-3;
-    let pool = args.budget.max(1);
-    println!(
-        "approx repeated-trials δ-check: trials={trials} pool={pool} seed={}",
-        args.seed
-    );
-
-    // Lazily materialized per-scenario (graph, k, truth) — trials cycle
-    // over the pool, so each scenario is built and solved exactly once.
-    let mut cache: Vec<Option<(CsrGraph, usize, Vec<f64>)>> = (0..pool).map(|_| None).collect();
-    let start = Instant::now();
-    let mut failures = 0u64;
-    let mut ran = 0u64;
-    let mut delta = 0.0f64;
-    let mut first_failures: Vec<String> = Vec::new();
-    for trial in 0..trials {
-        if let Some(limit) = args.max_secs {
-            if start.elapsed().as_secs_f64() > limit {
-                println!("time budget reached after {ran} trials");
-                break;
-            }
-        }
-        let idx = trial % pool;
-        if cache[idx].is_none() {
-            let case = scenario(args.seed, idx);
-            let g = case.final_dyn().to_csr();
-            let truth: Vec<f64> = (0..g.n() as VertexId)
-                .map(|v| ego_betweenness_reference(&g, v))
-                .collect();
-            cache[idx] = Some((g, case.k, truth));
-        }
-        let (g, k, truth) = cache[idx].as_ref().unwrap();
-
-        let strategy = if trial % 2 == 0 {
-            SamplingStrategy::Uniform
-        } else {
-            SamplingStrategy::HubStratified
-        };
-        let mut params = ApproxOracle {
-            strategy,
-            deep: true,
-        }
-        .forced_params();
-        params.seed = mix64(args.seed.wrapping_add(trial as u64));
-        delta = params.delta;
-        if let Err(why) = approx_check(g, *k, &params, ApproxFault::None, truth) {
-            failures += 1;
-            if first_failures.len() < 3 {
-                first_failures.push(format!("trial {trial} (scenario #{idx}): {why}"));
-            }
-        }
-        ran += 1;
-        if args.verbose && trial % 100 == 0 {
-            println!("  [{trial:>5}] failures so far: {failures}");
-        }
-    }
-
-    // P[X ≥ failures] if the true violation rate were exactly δ, and the
-    // exact Clopper–Pearson upper confidence bound on the observed rate.
-    let p_tail = binomial_tail_ge(ran, failures, delta);
-    let cp_upper = clopper_pearson_upper(failures, ran, ALPHA);
-    println!(
-        "trials={ran} failures={failures} promised δ={delta} \
-         P[X≥{failures} | δ]={p_tail:.3e} CP{}-upper={cp_upper:.5}",
-        1.0 - ALPHA
-    );
-    for f in &first_failures {
-        eprintln!("  δ-event: {f}");
-    }
-    if p_tail < ALPHA {
-        eprintln!(
-            "FAIL: {failures}/{ran} contract violations is statistically \
-             incompatible with the promised δ={delta} (α={ALPHA})"
-        );
-        1
-    } else {
-        println!(
-            "PASS: empirical failure rate consistent with δ={delta} in {:.2}s",
-            start.elapsed().as_secs_f64()
-        );
-        0
-    }
-}
-
 fn main() {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
             eprintln!(
                 "error: {e}\nusage: stress [--seed S] [--budget N] [--max-secs T] \
-                 [--mutate {}] [--approx-trials N] [--chaos] [--chaos-seeds N] [--verbose]",
+                 [--mutate {}] [--chaos] [--chaos-seeds N] [--verbose]",
                 Mutation::NAMES
             );
             std::process::exit(2);
@@ -393,10 +268,6 @@ fn main() {
 
     if args.chaos {
         std::process::exit(run_chaos(&args));
-    }
-
-    if args.approx_trials.is_some() {
-        std::process::exit(run_approx_trials(&args));
     }
 
     let mut oracles = conformance::all_oracles();

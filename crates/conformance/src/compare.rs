@@ -99,81 +99,6 @@ pub fn check_topk(
     Ok(())
 }
 
-/// Checks a *randomized* engine's top-k answer against the truth vector
-/// with statistical tolerance — the [`check_topk`] analogue for engines
-/// registered as `EngineKind::Approx { eps, .. }`.
-///
-/// With probability ≥ 1 − δ the sampler promises, for true k-th score
-/// `c*_k`: every returned vertex's true score is at least
-/// `c*_k − ε·max(1, c*_k)` (bounded displacement), and every returned
-/// estimate sits within `ε·max(1, c*_k, true score)` of that vertex's
-/// true score — estimates and true values share a confidence interval,
-/// and the stopping rule is *relative*-precision for settled members
-/// whose scores dwarf `c*_k`, absolute near the boundary. Structure
-/// (length, id range, duplicates, descending order) is checked exactly.
-/// Violations of this check are the δ-events the repeated-trials driver
-/// counts.
-pub fn check_topk_statistical(
-    truth: &[f64],
-    got: &[(VertexId, f64)],
-    k: usize,
-    eps: f64,
-    tol: f64,
-) -> Result<(), String> {
-    let n = truth.len();
-    let expect_len = k.min(n);
-    if got.len() != expect_len {
-        return Err(format!(
-            "returned {} entries, expected {expect_len} (k={k}, n={n})",
-            got.len()
-        ));
-    }
-    let mut seen = vec![false; n];
-    for (rank, &(v, score)) in got.iter().enumerate() {
-        if truth.get(v as usize).is_none() {
-            return Err(format!("rank {rank}: vertex {v} out of range (n={n})"));
-        }
-        if seen[v as usize] {
-            return Err(format!("vertex {v} returned twice"));
-        }
-        seen[v as usize] = true;
-        if rank > 0 && got[rank - 1].1 < score && !approx_eq(got[rank - 1].1, score, tol) {
-            return Err(format!(
-                "ranks {}..{rank} not descending: {} then {score}",
-                rank - 1,
-                got[rank - 1].1
-            ));
-        }
-    }
-    if expect_len == 0 {
-        return Ok(());
-    }
-
-    let mut sorted = truth.to_vec();
-    sorted.sort_by(|a, b| b.total_cmp(a));
-    let ck = sorted[expect_len - 1];
-    let slack = eps * ck.max(1.0) + tol * ck.abs().max(1.0);
-    for (rank, &(v, score)) in got.iter().enumerate() {
-        let truth_v = truth[v as usize];
-        if truth_v < ck - slack {
-            return Err(format!(
-                "rank {rank}: vertex {v} (true CB {truth_v}) displaced below \
-                 the k-th true score {ck} by more than ε-slack {slack}"
-            ));
-        }
-        // Settled members resolve at precision relative to their own
-        // (possibly much larger) score, so their slack scales with it.
-        let est_slack = eps * ck.max(truth_v).max(1.0) + tol * ck.abs().max(1.0);
-        if (score - truth_v).abs() > est_slack {
-            return Err(format!(
-                "rank {rank}: vertex {v} estimate {score} is more than \
-                 ε-slack {est_slack} from its true CB {truth_v}"
-            ));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,33 +161,5 @@ mod tests {
     fn tolerates_last_bit_divergence() {
         let wiggle = 3.0 + 3.0 * 1e-13;
         assert_eq!(check_topk(T, &[(0, 5.0), (2, wiggle)], 2, REL_TOL), Ok(()));
-    }
-
-    #[test]
-    fn statistical_accepts_within_eps_displacement() {
-        // k=2 boundary is 3.0; ε=0.4 ⇒ slack 1.2, so vertex 4 (CB 1.0
-        // < 3.0 − 1.2) is too far displaced but an estimate drift on a
-        // legitimate member passes.
-        assert_eq!(
-            check_topk_statistical(T, &[(0, 4.9), (1, 3.2)], 2, 0.4, REL_TOL),
-            Ok(())
-        );
-        let err = check_topk_statistical(T, &[(0, 5.0), (4, 2.9)], 2, 0.4, REL_TOL).unwrap_err();
-        assert!(err.contains("displaced"), "{err}");
-    }
-
-    #[test]
-    fn statistical_rejects_wild_estimates_and_structure() {
-        let err = check_topk_statistical(T, &[(0, 9.9), (1, 3.0)], 2, 0.1, REL_TOL).unwrap_err();
-        assert!(err.contains("ε-slack"), "{err}");
-        assert!(
-            check_topk_statistical(T, &[(0, 5.0), (0, 5.0)], 2, 0.1, REL_TOL)
-                .unwrap_err()
-                .contains("twice")
-        );
-        assert!(check_topk_statistical(T, &[(0, 5.0)], 2, 0.1, REL_TOL)
-            .unwrap_err()
-            .contains("expected 2"));
-        assert_eq!(check_topk_statistical(T, &[], 0, 0.1, REL_TOL), Ok(()));
     }
 }

@@ -13,6 +13,7 @@
 //! compiled out).
 
 use crate::case::Case;
+use crate::compare::{check_topk, REL_TOL};
 use crate::oracle::{all_oracles, Oracle};
 use egobtw_core::naive::ego_betweenness_reference;
 use egobtw_dynamic::stream::EdgeOp;
@@ -54,15 +55,12 @@ pub fn check_case_with(case: &Case, oracles: &[Box<dyn Oracle>]) -> Result<(), M
         .map(|v| ego_betweenness_reference(&final_g, v))
         .collect();
     for oracle in oracles {
-        // Each oracle owns its comparator: exact engines go through the
-        // tie-aware equality check, approx engines through the
-        // statistical-tolerance tier.
-        oracle
-            .check(case, &final_g, &truth)
-            .map_err(|detail| Mismatch {
+        check_topk(&truth, &oracle.topk(case, &final_g), case.k, REL_TOL).map_err(|detail| {
+            Mismatch {
                 oracle: oracle.name(),
                 detail,
-            })?;
+            }
+        })?;
     }
     Ok(())
 }

@@ -13,10 +13,8 @@
 //! and cannot self-register.
 
 use crate::case::Case;
-use crate::compare::{check_topk, check_topk_statistical, REL_TOL};
-use egobtw_core::approx::{approx_topk_with_fault, ApproxFault, ApproxParams, SamplingStrategy};
 use egobtw_core::opt_search::{opt_bsearch_with_fault, OptFault, OptParams};
-use egobtw_core::registry::{builtin_engines, topk_from_scores, EngineKind, RegisteredEngine};
+use egobtw_core::registry::{builtin_engines, topk_from_scores, RegisteredEngine};
 use egobtw_dynamic::{DeltaFault, DeltaIndex, LazyTopK, LocalIndex};
 use egobtw_graph::{CsrGraph, VertexId};
 use egobtw_parallel::{edge_pebw, vertex_pebw};
@@ -30,17 +28,9 @@ pub trait Oracle {
     /// engines answer on it, stream engines ignore it and replay
     /// `case.ops` themselves.
     fn topk(&self, case: &Case, final_g: &CsrGraph) -> Vec<(VertexId, f64)>;
-    /// Validates this oracle's answer against the truth vector. The
-    /// default is the exact tie-aware comparator; randomized oracles
-    /// override it with the statistical-tolerance tier.
-    fn check(&self, case: &Case, final_g: &CsrGraph, truth: &[f64]) -> Result<(), String> {
-        check_topk(truth, &self.topk(case, final_g), case.k, REL_TOL)
-    }
 }
 
-/// Adapter over a [`RegisteredEngine`] from `core`'s registry. Engines
-/// tagged [`EngineKind::Approx`] are judged by the statistical comparator;
-/// everything else must match the reference exactly.
+/// Adapter over a [`RegisteredEngine`] from `core`'s registry.
 pub struct StaticOracle(pub RegisteredEngine);
 
 impl Oracle for StaticOracle {
@@ -49,15 +39,6 @@ impl Oracle for StaticOracle {
     }
     fn topk(&self, case: &Case, final_g: &CsrGraph) -> Vec<(VertexId, f64)> {
         self.0.topk(final_g, case.k)
-    }
-    fn check(&self, case: &Case, final_g: &CsrGraph, truth: &[f64]) -> Result<(), String> {
-        let got = self.topk(case, final_g);
-        match self.0.kind() {
-            EngineKind::Exact => check_topk(truth, &got, case.k, REL_TOL),
-            EngineKind::Approx { eps, .. } => {
-                check_topk_statistical(truth, &got, case.k, eps, REL_TOL)
-            }
-        }
     }
 }
 
@@ -130,142 +111,9 @@ impl Oracle for DeltaOracle {
     }
 }
 
-/// Direct adapter over the approx sampler with *forced* sampling
-/// (`exact_pair_cutoff = 0`), so the small conformance graphs actually
-/// exercise the estimator instead of falling through to the exact path.
-/// Unlike the registry's approx engines (checked through the plain
-/// statistical comparator), this oracle sees the full [`ApproxTopk`]
-/// evidence and re-checks CI containment, certificate soundness,
-/// certified membership, and the reported rank slack.
-pub struct ApproxOracle {
-    /// Budget-allocation strategy under test.
-    pub strategy: SamplingStrategy,
-    /// `true` keeps egos sampling up to `32 · P_p` draws before the exact
-    /// fallback, reaching the variance-dominated stopping regime (needed
-    /// to expose the no-variance-term mutant); `false` is the cheap
-    /// always-on configuration.
-    pub deep: bool,
-}
-
-impl ApproxOracle {
-    /// The forced-sampling parameters this oracle runs with.
-    pub fn forced_params(&self) -> ApproxParams {
-        ApproxParams {
-            eps: 0.1,
-            delta: 0.005,
-            seed: 0x5EED_CAFE,
-            strategy: self.strategy,
-            threads: 1,
-            exact_pair_cutoff: 0,
-            initial_batch: 32,
-            max_rounds: 48,
-            exact_fallback_factor: if self.deep { 32.0 } else { 2.0 },
-        }
-    }
-}
-
-impl Oracle for ApproxOracle {
-    fn name(&self) -> String {
-        let tag = match self.strategy {
-            SamplingStrategy::Uniform => "uniform",
-            SamplingStrategy::HubStratified => "hub-strat",
-        };
-        let depth = if self.deep { ", deep" } else { "" };
-        format!("approx::sampler({tag}, forced{depth})")
-    }
-    fn topk(&self, case: &Case, final_g: &CsrGraph) -> Vec<(VertexId, f64)> {
-        approx_topk_with_fault(final_g, case.k, &self.forced_params(), ApproxFault::None)
-            .topk_entries()
-    }
-    fn check(&self, case: &Case, final_g: &CsrGraph, truth: &[f64]) -> Result<(), String> {
-        approx_check(
-            final_g,
-            case.k,
-            &self.forced_params(),
-            ApproxFault::None,
-            truth,
-        )
-    }
-}
-
-/// Runs the sampler (optionally with a planted fault) and validates the
-/// full statistical contract against the truth vector:
-///
-/// 1. the plain statistical comparator (structure + bounded displacement
-///    + ε-accurate estimates);
-/// 2. CI containment — every returned vertex's true CB inside `[lo, hi]`;
-/// 3. certificate soundness — a `certified` entry's lower bound must
-///    clear the reported non-returned upper-bound boundary;
-/// 4. certified membership — certified entries are tie-aware true top-k
-///    members, with *exact* tolerance (no ε slack);
-/// 5. displacement within the reported `rank_slack`, and (on a clean
-///    stop) `rank_slack ≤ ε·max(1, c*_k)`.
-///
-/// Violations of 1/2/4/5 are the δ-events the trials driver counts;
-/// violation 3 is deterministic evidence of a broken certifier.
-pub fn approx_check(
-    g: &CsrGraph,
-    k: usize,
-    params: &ApproxParams,
-    fault: ApproxFault,
-    truth: &[f64],
-) -> Result<(), String> {
-    let out = approx_topk_with_fault(g, k, params, fault);
-    check_topk_statistical(truth, &out.topk_entries(), k, params.eps, REL_TOL)?;
-    let expect_len = k.min(truth.len());
-    if expect_len == 0 {
-        return Ok(());
-    }
-    let mut sorted = truth.to_vec();
-    sorted.sort_by(|a, b| b.total_cmp(a));
-    let ck = sorted[expect_len - 1];
-    let atol = REL_TOL * ck.abs().max(1.0);
-    for (rank, e) in out.entries.iter().enumerate() {
-        let t = truth[e.vertex as usize];
-        if t < e.lo - atol || t > e.hi + atol {
-            return Err(format!(
-                "rank {rank}: vertex {} true CB {t} outside its reported CI [{}, {}]",
-                e.vertex, e.lo, e.hi
-            ));
-        }
-        if e.certified {
-            if e.lo < out.uncovered_hi - atol {
-                return Err(format!(
-                    "rank {rank}: vertex {} certified but lo {} does not clear \
-                     the non-returned boundary {} — unsound certificate",
-                    e.vertex, e.lo, out.uncovered_hi
-                ));
-            }
-            if t < ck - atol {
-                return Err(format!(
-                    "rank {rank}: vertex {} certified but true CB {t} is below \
-                     the k-th true score {ck} — certified non-member",
-                    e.vertex
-                ));
-            }
-        }
-        if t < ck - out.rank_slack - atol {
-            return Err(format!(
-                "rank {rank}: vertex {} true CB {t} displaced below {ck} by more \
-                 than the reported rank slack {}",
-                e.vertex, out.rank_slack
-            ));
-        }
-    }
-    if !out.budget_exhausted && out.rank_slack > params.eps * ck.max(1.0) + atol {
-        return Err(format!(
-            "clean stop but rank slack {} exceeds ε·max(1, c*_k) = {}",
-            out.rank_slack,
-            params.eps * ck.max(1.0)
-        ));
-    }
-    Ok(())
-}
-
-/// Every registered algorithm path: the enumerated `core` registry (the
-/// approx engines judged statistically via [`EngineKind`]), both PEBW
-/// variants at 1/2/4 threads, all three dynamic maintainers replayed over
-/// the update stream, and both forced-sampling approx oracles.
+/// Every registered algorithm path: the enumerated `core` registry, both
+/// PEBW variants at 1/2/4 threads, and all three dynamic maintainers
+/// replayed over the update stream.
 pub fn all_oracles() -> Vec<Box<dyn Oracle>> {
     let mut oracles: Vec<Box<dyn Oracle>> = builtin_engines()
         .into_iter()
@@ -279,12 +127,6 @@ pub fn all_oracles() -> Vec<Box<dyn Oracle>> {
     oracles.push(Box::new(LazyOracle));
     oracles.push(Box::new(LocalOracle));
     oracles.push(Box::new(DeltaOracle));
-    for strategy in [SamplingStrategy::Uniform, SamplingStrategy::HubStratified] {
-        oracles.push(Box::new(ApproxOracle {
-            strategy,
-            deep: false,
-        }));
-    }
     oracles
 }
 
@@ -318,20 +160,6 @@ pub enum Mutation {
     /// boundary is never re-certified, freezing membership at the initial
     /// top-k. Caught whenever the stream changes the true top-k.
     DeltaNoRecert,
-    /// Approx sampler with [`ApproxFault::SkipHighDegree`] planted: the
-    /// highest-degree egos never enter candidacy. Caught by the length
-    /// check at `k = n` and by membership/displacement whenever a hub
-    /// belongs in the top-k.
-    ApproxSkipHub,
-    /// Approx sampler with [`ApproxFault::NoVarianceTerm`] planted: the
-    /// stopping rule drops the empirical-variance term, so CIs are too
-    /// narrow in the variance-dominated regime. Caught (deep sampling)
-    /// by CI-containment / displacement violations.
-    ApproxNoVariance,
-    /// Approx sampler with [`ApproxFault::BoundaryOffByOne`] planted: one
-    /// entry past the sound confidence boundary is marked certified.
-    /// Caught deterministically by the certificate-soundness re-check.
-    ApproxBoundaryOff,
     /// OptBSearch with [`OptFault::DoubleCredit`] planted: every
     /// identified ego edge lowers the Lemma 3 bound twice, so the bound
     /// can fall below `CB` and the search prunes or stops before a true
@@ -349,9 +177,6 @@ impl Mutation {
             "delta-stale-pair" => Some(Mutation::DeltaStalePair),
             "delta-missed-ego" => Some(Mutation::DeltaMissedEgo),
             "delta-no-recert" => Some(Mutation::DeltaNoRecert),
-            "approx-skip-hub" => Some(Mutation::ApproxSkipHub),
-            "approx-no-variance" => Some(Mutation::ApproxNoVariance),
-            "approx-boundary-off" => Some(Mutation::ApproxBoundaryOff),
             "opt-double-credit" => Some(Mutation::OptDoubleCredit),
             _ => None,
         }
@@ -359,8 +184,7 @@ impl Mutation {
 
     /// All mutation names, for usage text.
     pub const NAMES: &'static str = "tie-drop | bias | stale-graph | delta-stale-pair | \
-         delta-missed-ego | delta-no-recert | approx-skip-hub | approx-no-variance | \
-         approx-boundary-off | opt-double-credit";
+         delta-missed-ego | delta-no-recert | opt-double-credit";
 
     /// The fault to plant into a [`DeltaIndex`], for the delta mutants.
     fn delta_fault(self) -> Option<DeltaFault> {
@@ -371,55 +195,20 @@ impl Mutation {
             _ => None,
         }
     }
-
-    /// The fault to plant into the approx sampler, for the approx mutants.
-    fn approx_fault(self) -> Option<ApproxFault> {
-        match self {
-            Mutation::ApproxSkipHub => Some(ApproxFault::SkipHighDegree),
-            Mutation::ApproxNoVariance => Some(ApproxFault::NoVarianceTerm),
-            Mutation::ApproxBoundaryOff => Some(ApproxFault::BoundaryOffByOne),
-            _ => None,
-        }
-    }
 }
 
 /// An engine wrapped with one deliberate defect: the first three mutations
 /// corrupt a correct naive answer from the outside; the `Delta*` ones run
 /// the real `DeltaIndex` replay with the corresponding fault planted
-/// *inside* its update path; the `Approx*` ones run the real sampler
-/// (deep forced-sampling configuration) with the fault planted inside its
-/// estimation loop, checked against the full statistical contract; the
-/// `Opt*` one runs the real OptBSearch with its bound bookkeeping broken.
+/// *inside* its update path; the `Opt*` one runs the real OptBSearch with
+/// its bound bookkeeping broken.
 pub struct FaultyOracle(pub Mutation);
-
-impl FaultyOracle {
-    /// Deep forced-sampling parameters for the approx mutants — the same
-    /// configuration an honest deep [`ApproxOracle`] would run, so any
-    /// divergence is attributable to the planted fault.
-    fn approx_params(&self) -> ApproxParams {
-        ApproxOracle {
-            strategy: SamplingStrategy::Uniform,
-            deep: true,
-        }
-        .forced_params()
-    }
-}
 
 impl Oracle for FaultyOracle {
     fn name(&self) -> String {
         format!("mutant::{:?}", self.0)
     }
-    fn check(&self, case: &Case, final_g: &CsrGraph, truth: &[f64]) -> Result<(), String> {
-        if let Some(fault) = self.0.approx_fault() {
-            return approx_check(final_g, case.k, &self.approx_params(), fault, truth);
-        }
-        check_topk(truth, &self.topk(case, final_g), case.k, REL_TOL)
-    }
     fn topk(&self, case: &Case, final_g: &CsrGraph) -> Vec<(VertexId, f64)> {
-        if let Some(fault) = self.0.approx_fault() {
-            return approx_topk_with_fault(final_g, case.k, &self.approx_params(), fault)
-                .topk_entries();
-        }
         if let Some(fault) = self.0.delta_fault() {
             let mut idx = DeltaIndex::with_fault(&case.initial(), case.k, fault);
             for &op in &case.ops {

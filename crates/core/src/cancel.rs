@@ -2,8 +2,8 @@
 //!
 //! A [`Cancel`] token combines an explicit flag (set by a caller — e.g. a
 //! server noticing the requesting client disconnected) with an optional
-//! deadline. Engines poll it at coarse checkpoints — per sampling round,
-//! per heap pop batch, per vertex chunk — so an abandoned request stops
+//! deadline. Engines poll it at coarse checkpoints — per heap pop batch,
+//! per vertex chunk — so an abandoned request stops
 //! burning CPU within a bounded amount of extra work instead of running
 //! to completion for nobody. Polling is cooperative by design: the
 //! checkpoints sit outside the hot inner kernels, so the cost of carrying

@@ -27,9 +27,6 @@
 //! * [`opt_search`] — **OptBSearch** (Algorithm 2) with the gradient ratio
 //!   `θ` and EgoBWCal (Algorithm 3), its exact computations spread over
 //!   helper threads that each own a kernel;
-//! * [`approx`] — adaptive pair-sampling engines with (ε, δ) rank
-//!   guarantees and per-vertex empirical-Bernstein confidence intervals,
-//!   for graphs the exact engines can't touch;
 //! * [`compute_all`] — exact `CB` for every vertex (the `k = n`
 //!   baseline): one all-egos driver computes each edge's common
 //!   neighbourhood once and scores each ego in a triangle with the kernel,
@@ -56,7 +53,6 @@
 
 #![warn(missing_docs)]
 
-pub mod approx;
 pub mod base_search;
 pub mod cancel;
 pub mod compute_all;
@@ -77,11 +73,6 @@ mod bounds;
 #[path = "engine_tests.rs"]
 mod engine;
 
-pub use approx::{
-    approx_topk, approx_topk_cancellable, approx_topk_with_fault, binomial_tail_ge,
-    clopper_pearson_upper, eb_half_width, round_delta, ApproxEntry, ApproxFault, ApproxParams,
-    ApproxTopk, SamplingStrategy,
-};
 pub use base_search::{base_bsearch, base_bsearch_cancellable};
 pub use cancel::{Cancel, Cancelled};
 pub use compute_all::{compute_all, compute_all_cancellable};
@@ -90,6 +81,6 @@ pub use naive::{compute_all_naive, compute_all_naive_cancellable, ego_betweennes
 pub use opt_search::{
     opt_bsearch, opt_bsearch_cancellable, opt_bsearch_with_fault, OptFault, OptParams,
 };
-pub use registry::{builtin_engines, topk_from_scores, EngineKind, RegisteredEngine};
+pub use registry::{builtin_engines, topk_from_scores, RegisteredEngine};
 pub use stats::SearchStats;
 pub use topk::{TopKSet, TopkResult};

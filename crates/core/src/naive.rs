@@ -10,10 +10,10 @@
 //! It is a one-shot wrapper over the ego-local kernel
 //! ([`crate::ego_kernel::EgoKernel`]) that OptBSearch completes its egos
 //! with, and serves the daemon's `SCORE`, the recompute-on-demand lazy
-//! top-k maintainer, the approx engine's exact fallback, and the paper's
-//! Section-I straw-man baseline ("compute every ego network",
-//! [`compute_all_naive`]). [`ego_betweenness_reference`] shares no code
-//! with it and is the independent oracle the tests compare against.
+//! top-k maintainer, and the paper's Section-I straw-man baseline
+//! ("compute every ego network", [`compute_all_naive`]).
+//! [`ego_betweenness_reference`] shares no code with it and is the
+//! independent oracle the tests compare against.
 //!
 //! Both functions are generic over [`EgoView`] so they run on the static
 //! [`CsrGraph`] and the mutable [`DynGraph`] alike.

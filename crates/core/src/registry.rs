@@ -10,8 +10,8 @@
 //! hole.
 //!
 //! Every engine closure takes a [`Cancel`] token and may return
-//! [`Cancelled`] from a coarse checkpoint (heap pop batch, vertex chunk,
-//! sampling round) — the serving layer threads per-request deadlines and
+//! [`Cancelled`] from a coarse checkpoint (heap pop batch, vertex chunk)
+//! — the serving layer threads per-request deadlines and
 //! disconnect detection through here so an abandoned exact search stops
 //! burning CPU. Harness code that has no deadline uses the infallible
 //! [`RegisteredEngine::topk`], which passes [`Cancel::never`].
@@ -21,62 +21,32 @@
 //! shape by constructing [`RegisteredEngine`] values of their own, which
 //! the conformance layer appends to this list.
 
-use crate::approx::{approx_topk_cancellable, ApproxParams, SamplingStrategy};
 use crate::base_search::base_bsearch_cancellable;
 use crate::cancel::{Cancel, Cancelled};
 use crate::compute_all::compute_all_cancellable;
 use crate::naive::compute_all_naive_cancellable;
 use crate::opt_search::{opt_bsearch_cancellable, OptParams};
-use crate::stats::SearchStats;
 use crate::topk::TopkResult;
 use egobtw_graph::{CsrGraph, HybridConfig, Relabeling, VertexId};
 
 /// Uniform engine signature: graph in, ranked `(vertex, CB)` entries plus
 /// the run's work counters out (a [`TopkResult`]) — unless the token
-/// cancels the run first. Search engines report the paper's Table II
-/// metric (exact computations) for the serving layer's telemetry; engines
-/// with no such counter report [`SearchStats::default`].
+/// cancels the run first. Every engine reports the paper's Table II
+/// metric (exact computations) for the serving layer's telemetry.
 pub type EngineFn =
     Box<dyn Fn(&CsrGraph, usize, &Cancel) -> Result<TopkResult, Cancelled> + Send + Sync>;
 
-/// What an engine promises about its output — the conformance layer picks
-/// its comparator from this tag.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum EngineKind {
-    /// Bit-for-bit agreement with the reference is required.
-    Exact,
-    /// Randomized engine with an (ε, δ) rank guarantee: membership and
-    /// scores are checked with statistical tolerance, not equality.
-    Approx {
-        /// Rank-displacement tolerance ε.
-        eps: f64,
-        /// Failure probability budget δ.
-        delta: f64,
-    },
-}
-
-/// One named engine in the registry.
+/// One named engine in the registry. Every registered engine is exact.
 pub struct RegisteredEngine {
     name: String,
-    kind: EngineKind,
     run: EngineFn,
 }
 
 impl RegisteredEngine {
-    /// Wraps a closure under a stable engine name (an exact engine).
+    /// Wraps a closure under a stable engine name.
     pub fn new(name: impl Into<String>, run: EngineFn) -> Self {
         RegisteredEngine {
             name: name.into(),
-            kind: EngineKind::Exact,
-            run,
-        }
-    }
-
-    /// Wraps a closure with an explicit output contract.
-    pub fn with_kind(name: impl Into<String>, kind: EngineKind, run: EngineFn) -> Self {
-        RegisteredEngine {
-            name: name.into(),
-            kind,
             run,
         }
     }
@@ -86,13 +56,10 @@ impl RegisteredEngine {
         &self.name
     }
 
-    /// The engine's output contract.
-    pub fn kind(&self) -> EngineKind {
-        self.kind
-    }
-
-    /// Runs the engine: top-`k` entries sorted by descending `CB`
-    /// (ascending vertex id among exact float ties).
+    /// Runs the engine: top-`k` entries sorted by descending `CB`, with
+    /// ties inside the returned list in ascending vertex id. When the
+    /// `k`-th score is tied beyond the list, which tied vertices fill
+    /// the boundary depends on the engine.
     pub fn topk(&self, g: &CsrGraph, k: usize) -> Vec<(VertexId, f64)> {
         self.topk_cancellable(g, k, &Cancel::never())
             .expect("a never-cancelled engine run cannot be cancelled")
@@ -144,14 +111,6 @@ pub fn topk_from_scores(scores: &[f64], k: usize) -> Vec<(VertexId, f64)> {
     v
 }
 
-/// An engine result with no work counters to report.
-fn uncounted(entries: Vec<(VertexId, f64)>) -> TopkResult {
-    TopkResult {
-        entries,
-        stats: SearchStats::default(),
-    }
-}
-
 /// Every engine implemented in this crate, under its stable name:
 ///
 /// * `core::naive` — per-ego bitset baseline over all vertices;
@@ -167,12 +126,7 @@ fn uncounted(entries: Vec<(VertexId, f64)>) -> TopkResult {
 ///   slice×bitmap / bitmap×bitmap kernels (conformance coverage for the
 ///   bitmap paths, which real thresholds rarely reach on small graphs);
 /// * `core::opt_search(θ=1.05, degree-relabel)` — OptBSearch on the
-///   relabeled twin, since renaming must never change answers;
-/// * `core::approx(uniform, ε=0.05, δ=0.01)` and
-///   `core::approx(hub-strat, ε=0.05, δ=0.01)` — the adaptive sampling
-///   engines ([`EngineKind::Approx`]): egos small enough to enumerate are
-///   exact, the rest carry empirical-Bernstein confidence intervals; the
-///   conformance layer checks them with statistical tolerance.
+///   relabeled twin, since renaming must never change answers.
 pub fn builtin_engines() -> Vec<RegisteredEngine> {
     let mut engines = vec![
         RegisteredEngine::new(
@@ -243,30 +197,6 @@ pub fn builtin_engines() -> Vec<RegisteredEngine> {
             })
         }) as EngineFn,
     ));
-    for (tag, strategy) in [
-        ("uniform", SamplingStrategy::Uniform),
-        ("hub-strat", SamplingStrategy::HubStratified),
-    ] {
-        let params = ApproxParams {
-            strategy,
-            ..ApproxParams::default()
-        };
-        engines.push(RegisteredEngine::with_kind(
-            format!(
-                "core::approx({tag}, ε={:.2}, δ={:.2})",
-                params.eps, params.delta
-            ),
-            EngineKind::Approx {
-                eps: params.eps,
-                delta: params.delta,
-            },
-            Box::new(move |g: &CsrGraph, k, cancel: &Cancel| {
-                Ok(uncounted(
-                    approx_topk_cancellable(g, k, &params, cancel)?.topk_entries(),
-                ))
-            }) as EngineFn,
-        ));
-    }
     engines
 }
 
@@ -293,8 +223,15 @@ mod tests {
         for e in builtin_engines() {
             let got = e.topk(&g, 5);
             assert_eq!(got.len(), 5, "{}", e.name());
+            // Every engine is exact, so scores match bit for bit by rank.
+            // Ids may differ inside the k-th score's tie class.
             for (rank, ((_, a), (_, b))) in got.iter().zip(&reference).enumerate() {
-                assert!((a - b).abs() < 1e-9, "{} rank {rank}: {a} vs {b}", e.name());
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{} rank {rank}: {a} vs {b}",
+                    e.name()
+                );
             }
         }
     }
@@ -322,15 +259,11 @@ mod tests {
                 .topk_with_stats_cancellable(&g, 5, &Cancel::never())
                 .unwrap();
             assert_eq!(plain, with_stats.entries, "{}", e.name());
-            // The exact engines must report honest work counters; the
-            // sampling engines legitimately report zeros.
-            if !matches!(e.kind(), EngineKind::Approx { .. }) {
-                assert!(
-                    with_stats.stats.exact_computations > 0,
-                    "{} reported no exact computations",
-                    e.name()
-                );
-            }
+            assert!(
+                with_stats.stats.exact_computations > 0,
+                "{} reported no exact computations",
+                e.name()
+            );
         }
     }
 

@@ -492,12 +492,6 @@ pub struct DatasetMetrics {
     /// Queries answered by joining another requester's in-flight
     /// computation of the same key at the same epoch.
     pub coalesced: Arc<Counter>,
-    /// Cumulative pair samples drawn by `approx:` engine runs on this
-    /// dataset (0 until the first approx query).
-    pub approx_samples: Arc<Counter>,
-    /// Cumulative adaptive rounds run before the approx stopping rule
-    /// fired, across all `approx:` engine runs on this dataset.
-    pub approx_rounds: Arc<Counter>,
     /// Exact ego-betweenness computations engines ran on this dataset.
     pub exact: Arc<Counter>,
     /// Candidate vertices engines pruned via upper bounds.
@@ -538,14 +532,6 @@ impl DatasetMetrics {
             coalesced: counter(
                 "egobtw_cache_coalesced_total",
                 "Queries that joined another requester's in-flight computation.",
-            ),
-            approx_samples: counter(
-                "egobtw_approx_samples_total",
-                "Pair samples drawn by approx engine runs.",
-            ),
-            approx_rounds: counter(
-                "egobtw_approx_rounds_total",
-                "Adaptive rounds run by approx engine runs.",
             ),
             exact: counter(
                 "egobtw_work_exact_total",

@@ -13,7 +13,7 @@
 //! LOAD   <name> <path> [lazy:<k> | delta:<k>]   load a dataset file (default
 //!                                               delta:64; legacy `local[:K]` = delta:K)
 //! TOPK   <name> <k> [engine]                    top-k (engine: auto | registry name |
-//!                                               approx:EPS,DELTA — seeded (ε, δ) sampler)
+//!                                               approx:EPS,DELTA — answered exactly, as auto)
 //! SCORE  <name> <v>...                          exact CB of named vertices
 //! COMMON <name> <u> <v>                         common neighbors
 //! UPDATE <name> [seq=<e>] (+u,v | -u,v)...      apply an edge-op batch; `seq` is an

@@ -8,7 +8,8 @@
 //! Per-request **engine selection**: a `TOPK` request either names a
 //! registry engine (any [`egobtw_core::builtin_engines`] name, run on the
 //! request's snapshot and cached per epoch) or says `auto`, in which case
-//! the service picks the cheapest correct source in order:
+//! the service picks the cheapest correct source in order (a well-formed
+//! `approx:EPS,DELTA` token is validated, then answered as `auto`):
 //!
 //! 1. the snapshot's **maintained** entries (published by the dynamic
 //!    maintainer — free; `delta` datasets publish on every epoch, so
@@ -29,7 +30,7 @@ use egobtw_core::naive::ego_betweenness_of;
 use egobtw_core::opt_search::{opt_bsearch_cancellable, OptParams};
 use egobtw_core::registry::{builtin_engines, RegisteredEngine};
 use egobtw_core::stats::SearchStats;
-use egobtw_core::{approx_topk_cancellable, ApproxParams, Cancel, Cancelled};
+use egobtw_core::{Cancel, Cancelled};
 use egobtw_graph::io::{read_edge_list_file, read_snapshot_file, IoError, SNAPSHOT_MAGIC};
 use egobtw_graph::{CsrGraph, VertexId};
 use egobtw_telemetry::span::{Phase, PhaseTimer, Trace};
@@ -155,11 +156,6 @@ pub enum Reply {
         persisted: bool,
         /// Records currently in the WAL (0 when not persisted).
         wal_records: u64,
-        /// Cumulative pair samples drawn by `approx:` engine runs.
-        approx_samples: u64,
-        /// Cumulative adaptive rounds before the approx stopping rule
-        /// fired, across `approx:` engine runs.
-        approx_rounds: u64,
         /// Service-wide: requests shed with `ERR busy`.
         shed: u64,
         /// Service-wide: requests that blew their deadline.
@@ -283,8 +279,6 @@ impl Reply {
                 shard,
                 persisted,
                 wal_records,
-                approx_samples,
-                approx_rounds,
                 shed,
                 timeouts,
                 cancelled,
@@ -298,7 +292,6 @@ impl Reply {
                  stale_members={stale_members} ops_applied={ops_applied} \
                  cache_hits={cache_hits} cache_misses={cache_misses} coalesced={coalesced} \
                  shard={shard} persisted={persisted} wal_records={wal_records} \
-                 approx_samples={approx_samples} approx_rounds={approx_rounds} \
                  shed={shed} timeouts={timeouts} cancelled={cancelled} inflight={inflight} \
                  exact={exact} pruned={pruned} triangles={triangles} \
                  helper_computations={helper_computations}",
@@ -322,11 +315,10 @@ impl Reply {
     }
 }
 
-/// Parses the `approx:EPS,DELTA` engine token into validated sampler
-/// parameters. The seed is fixed: one epoch, one token, one answer — the
-/// per-epoch cache can serve repeats byte-identically, and replays are
-/// reproducible (the sampler itself is bit-deterministic by seed).
-fn parse_approx_engine(spec: &str) -> Result<ApproxParams, String> {
+/// Validates the `approx:EPS,DELTA` engine token. A valid token is
+/// answered exactly, like `auto`: an exact answer meets every (ε, δ)
+/// contract, since each of its intervals has zero width.
+fn parse_approx_engine(spec: &str) -> Result<(), String> {
     let bad = || {
         format!(
             "bad approx engine {spec:?}: expected approx:EPS,DELTA \
@@ -339,7 +331,7 @@ fn parse_approx_engine(spec: &str) -> Result<ApproxParams, String> {
     if !(eps > 0.0 && eps <= 1.0 && delta > 0.0 && delta < 1.0) {
         return Err(bad());
     }
-    Ok(ApproxParams::new(eps, delta))
+    Ok(())
 }
 
 /// Reads a graph file, sniffing binary snapshot vs text edge list from
@@ -610,13 +602,8 @@ impl Service {
         trace: &mut Trace,
     ) -> Result<(crate::catalog::SharedEntries, TopkSource), String> {
         // Resolve the engine before claiming a cache slot, so an unknown
-        // name (or a malformed approx spec) can never leave a pending
-        // slot behind.
-        let mut approx: Option<ApproxParams> = None;
+        // name can never leave a pending slot behind.
         let engine = if engine_name == "auto" {
-            None
-        } else if let Some(spec) = engine_name.strip_prefix("approx:") {
-            approx = Some(parse_approx_engine(spec)?);
             None
         } else {
             Some(
@@ -664,32 +651,19 @@ impl Service {
                 let timer = PhaseTimer::start(Phase::Compute);
                 let mut work = SearchStats::default();
                 let mut run = || -> Result<Vec<(VertexId, f64)>, Cancelled> {
-                    Ok(match (engine, &approx) {
-                        (None, Some(params)) => {
-                            let result = approx_topk_cancellable(&snap.graph, k, params, cancel)?;
-                            ds.metrics().approx_samples.add(result.samples_drawn);
-                            ds.metrics().approx_rounds.add(u64::from(result.rounds));
-                            trace.work.samples += result.samples_drawn;
-                            trace.work.rounds += u64::from(result.rounds);
-                            result.topk_entries()
+                    let result = match engine {
+                        None => opt_bsearch_cancellable(
+                            &snap.graph,
+                            k,
+                            OptParams { theta: 1.05 },
+                            cancel,
+                        )?,
+                        Some(engine) => {
+                            engine.topk_with_stats_cancellable(&snap.graph, k, cancel)?
                         }
-                        (None, None) => {
-                            let result = opt_bsearch_cancellable(
-                                &snap.graph,
-                                k,
-                                OptParams { theta: 1.05 },
-                                cancel,
-                            )?;
-                            work = result.stats;
-                            result.entries
-                        }
-                        (Some(engine), _) => {
-                            let result =
-                                engine.topk_with_stats_cancellable(&snap.graph, k, cancel)?;
-                            work = result.stats;
-                            result.entries
-                        }
-                    })
+                    };
+                    work = result.stats;
+                    Ok(result.entries)
                 };
                 let outcome = run().map_err(|Cancelled| self.cancelled_err(cancel));
                 trace.end(timer);
@@ -709,6 +683,14 @@ impl Service {
         cancel: &Cancel,
         trace: &mut Trace,
     ) -> Result<Reply, String> {
+        // A well-formed `approx:` token takes the `auto` route.
+        let engine = match engine.strip_prefix("approx:") {
+            Some(spec) => {
+                parse_approx_engine(spec)?;
+                "auto"
+            }
+            None => engine,
+        };
         let timer = PhaseTimer::start(Phase::Snapshot);
         let ds = self.catalog.get(name)?;
         let snap = ds.snapshot();
@@ -835,8 +817,6 @@ impl Service {
             shard: self.catalog.shard_of(name),
             persisted: ds.persisted(),
             wal_records: ds.wal_records(),
-            approx_samples: ds.metrics().approx_samples.get(),
-            approx_rounds: ds.metrics().approx_rounds.get(),
             shed: self.overload.shed.get(),
             timeouts: self.overload.timeouts.get(),
             cancelled: self.overload.cancelled.get(),

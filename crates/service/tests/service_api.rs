@@ -403,45 +403,42 @@ fn stats_line_reports_shard_persistence_and_coalescing_fields() {
 #[test]
 fn approx_engine_token_serves_cached_deterministic_topk() {
     let service = Service::new();
-    let g = classic::karate_club();
-    service.load_graph("a", g.clone(), Mode::default()).unwrap();
-    let truth = topk_from_scores(&egobtw_core::compute_all(&g).0, 5);
-
-    // Karate sits under the approx engine's exact-pair cutoff, so the
-    // sampler answers exactly — the wire-level contract here is about
-    // routing, caching, and counters, not statistics.
-    let first = match exec(&service, "TOPK a 5 approx:0.05,0.01") {
+    // Maintaining only the top 2 sends `TOPK a 5` down `auto`'s engine
+    // route, so the per-epoch cache and the engine metrics are in play.
+    service
+        .load_graph("a", classic::karate_club(), Mode::Delta { k: 2 })
+        .unwrap();
+    let topk = |line: &str| match exec(&service, line) {
         egobtw_service::Reply::Topk {
-            source, entries, ..
-        } => {
-            assert_eq!(source, TopkSource::Engine("approx:0.05,0.01".into()));
-            for ((_, a), (_, b)) in entries.iter().zip(&truth) {
-                assert!((a - b).abs() < 1e-9);
-            }
-            entries
-        }
+            epoch,
+            source,
+            entries,
+            ..
+        } => (epoch, source, entries),
         other => panic!("unexpected reply {other:?}"),
     };
 
-    // Same epoch + same token ⇒ served from the per-epoch cache,
-    // byte-identical (the sampler seed is fixed per token).
-    match exec(&service, "TOPK a 5 approx:0.05,0.01") {
-        egobtw_service::Reply::Topk {
-            source, entries, ..
-        } => {
-            assert_eq!(source, TopkSource::Cache);
-            assert_eq!(entries, first);
-        }
-        other => panic!("unexpected reply {other:?}"),
-    }
+    // A well-formed token is answered exactly, like `TOPK a 5`.
+    let (epoch, source, first) = topk("TOPK a 5 approx:0.05,0.01");
+    assert_eq!(
+        source,
+        TopkSource::Engine("core::opt_search(θ=1.05)".into())
+    );
+    let (plain_epoch, _, plain) = topk("TOPK a 5");
+    assert_eq!((epoch, &first), (plain_epoch, &plain));
 
-    // A different (ε, δ) is a different cache key, hence a fresh run.
-    match exec(&service, "TOPK a 5 approx:0.10,0.05") {
-        egobtw_service::Reply::Topk { source, .. } => {
-            assert_eq!(source, TopkSource::Engine("approx:0.10,0.05".into()));
-        }
-        other => panic!("unexpected reply {other:?}"),
-    }
+    // Another spelling of the same contract shares `auto`'s cache slot.
+    let (epoch, source, entries) = topk("TOPK a 5 approx:0.050,0.010");
+    assert_eq!(source, TopkSource::Cache);
+    assert_eq!((epoch, &entries), (plain_epoch, &plain));
+
+    // The token labels no metric series, so clients cannot grow METRICS.
+    let metrics = service.handle_line("METRICS");
+    assert!(
+        metrics.contains("engine=\"core::opt_search"),
+        "engine series missing: {metrics}"
+    );
+    assert!(!metrics.contains("engine=\"approx:"), "{metrics}");
 }
 
 #[test]
@@ -462,35 +459,6 @@ fn approx_engine_rejects_malformed_specs() {
         let e = exec_err(&service, bad);
         assert!(e.contains("approx"), "{bad:?}: {e}");
     }
-}
-
-#[test]
-fn stats_reports_approx_sampling_counters() {
-    let service = Service::new();
-    // A graph big enough that the sampler actually samples (degrees push
-    // pair counts past the exact cutoff), so the counters move.
-    let g = egobtw_gen::synth_family("ba", 2.0, 9).unwrap();
-    service.load_graph("s", g, Mode::default()).unwrap();
-    let before = service.handle_line("STATS s");
-    assert!(
-        before.contains(" approx_samples=0") && before.contains(" approx_rounds=0"),
-        "{before}"
-    );
-    exec(&service, "TOPK s 8 approx:0.05,0.01");
-    let ds = service.catalog().get("s").unwrap();
-    let samples = ds.metrics().approx_samples.get();
-    let rounds = ds.metrics().approx_rounds.get();
-    assert!(samples > 0, "sampler drew nothing on a 400-vertex graph");
-    assert!(rounds > 0);
-    let after = service.handle_line("STATS s");
-    assert!(
-        after.contains(&format!(" approx_samples={samples}"))
-            && after.contains(&format!(" approx_rounds={rounds}")),
-        "{after}"
-    );
-    // Cache hits don't re-run the sampler, so the counters hold still.
-    exec(&service, "TOPK s 8 approx:0.05,0.01");
-    assert_eq!(ds.metrics().approx_samples.get(), samples);
 }
 
 #[test]

@@ -27,7 +27,7 @@ pub enum Phase {
     Queue,
     /// Acquiring the epoch snapshot (and the cache claim).
     Snapshot,
-    /// Engine computation (exact search, approx sampling, or replay).
+    /// Engine computation (exact search or maintainer refresh).
     Compute,
     /// Rendering the reply line.
     Serialize,
@@ -72,8 +72,7 @@ impl Phase {
     }
 }
 
-/// Engine work folded into a trace: `SearchStats`-shaped counters plus
-/// the approx sampler's effort counters.
+/// Engine work folded into a trace: `SearchStats`-shaped counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkCounters {
     /// Vertices computed exactly (the paper's Table II metric).
@@ -86,10 +85,6 @@ pub struct WorkCounters {
     pub bound_refreshes: u64,
     /// Of `exact`, the egos computed on OptBSearch helper threads.
     pub helper_computations: u64,
-    /// Approx connector-pair samples drawn.
-    pub samples: u64,
-    /// Approx sampling rounds.
-    pub rounds: u64,
 }
 
 impl WorkCounters {
@@ -179,8 +174,6 @@ impl Trace {
             ("triangles", w.triangles),
             ("bound_refreshes", w.bound_refreshes),
             ("helper_computations", w.helper_computations),
-            ("samples", w.samples),
-            ("rounds", w.rounds),
         ] {
             if v > 0 {
                 out.push_str(&format!(",{label}:{v}"));
@@ -201,7 +194,7 @@ mod tests {
         tr.add_ns(Phase::Compute, 1_000_000);
         tr.add_ns(Phase::Compute, 500_000);
         tr.work.exact = 7;
-        tr.work.samples = 120;
+        tr.work.triangles = 120;
         assert_eq!(tr.phase_ns(Phase::Compute), 1_500_000);
         let s = tr.summary();
         assert!(s.starts_with("total:"), "{s}");
@@ -209,7 +202,7 @@ mod tests {
         assert!(s.contains(",compute:1500us"), "{s}");
         assert!(!s.contains("queue"), "zero phases omitted: {s}");
         assert!(s.contains(",exact:7"), "{s}");
-        assert!(s.contains(",samples:120"), "{s}");
+        assert!(s.contains(",triangles:120"), "{s}");
         assert!(!s.contains("pruned"), "zero counters omitted: {s}");
         assert!(!s.contains(' '), "summary must be a single token: {s}");
     }
