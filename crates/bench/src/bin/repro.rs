@@ -9,7 +9,7 @@
 //!   datasets   Table I     dataset statistics
 //!   exp1       Fig. 6 + Table II   BaseBSearch vs OptBSearch, varying k
 //!   exp2       Fig. 7      OptBSearch vs the gradient ratio θ
-//!   exp3       Fig. 8      update maintenance: Local vs Lazy, insert/delete
+//!   exp3       Fig. 8      update maintenance: Local vs Lazy, insert/delete (top-k checked)
 //!   exp4       Fig. 9      scalability on edge/vertex samples
 //!   exp5       Fig. 10     parallel runtime and speedup, varying threads
 //!   exp6       Fig. 11     TopBW vs TopEBW: runtime and overlap
@@ -26,7 +26,7 @@ use egobtw_bench::{case_study, ms, print_table, standins, time, Dataset};
 use egobtw_core::{
     base_bsearch, compute_all, compute_all_naive, opt_bsearch, OptParams, TopkResult,
 };
-use egobtw_dynamic::{LazyTopK, LocalIndex};
+use egobtw_dynamic::{replay_graph, EdgeOp, LazyTopK, LocalIndex};
 use egobtw_gen::sample::{edge_sample, vertex_sample};
 use egobtw_graph::intersect::{
     bitmap_bitmap_intersection_count, gallop_intersection_count, intersection_count,
@@ -206,6 +206,28 @@ fn pick_updates(g: &egobtw_graph::CsrGraph, count: usize, seed: u64) -> (EdgeLis
     (inserts, deletes)
 }
 
+/// Relative tolerance for a maintained score against `compute_all`: the
+/// conformance harness's `REL_TOL`, restated because `egobtw-bench` sits
+/// below `egobtw-service` and takes no dependency on `conformance`.
+const REL_TOL: f64 = 1e-9;
+
+/// Asserts that a maintained top-k holds the `k` largest `compute_all`
+/// scores, each reported for a vertex that really has it.
+fn check_maintained(who: &str, truth: &[f64], got: &[(VertexId, f64)], k: usize) {
+    let close = |a: f64, b: f64| (a - b).abs() <= REL_TOL * a.abs().max(b.abs()).max(1.0);
+    let mut want = truth.to_vec();
+    want.sort_by(|a, b| b.total_cmp(a));
+    want.truncate(k);
+    assert_eq!(got.len(), want.len(), "{who}: top-k size");
+    for (&(v, s), &w) in got.iter().zip(&want) {
+        assert!(
+            close(s, truth[v as usize]) && close(s, w),
+            "{who}: vertex {v} reports {s}, compute_all gives {} (rank value {w})",
+            truth[v as usize]
+        );
+    }
+}
+
 fn exp3(scale: f64, k: usize) {
     banner(&format!(
         "Exp-3 (Fig. 8): maintenance — 1000 random updates, k={k}"
@@ -214,44 +236,33 @@ fn exp3(scale: f64, k: usize) {
     let mut rows = Vec::new();
     for d in &standins(scale) {
         let (inserts, deletes) = pick_updates(&d.graph, count, 0xF1B8);
-
-        // Inserts.
-        let mut local = LocalIndex::new(&d.graph);
-        let (_, t_li) = time(|| {
-            for &(u, v) in &inserts {
-                local.insert_edge(u, v);
+        let inserts: Vec<EdgeOp> = inserts.iter().map(|&(u, v)| EdgeOp::Insert(u, v)).collect();
+        // Deletes start from the original graph too.
+        let deletes: Vec<EdgeOp> = deletes.iter().map(|&(u, v)| EdgeOp::Delete(u, v)).collect();
+        let mut row = vec![d.name.to_string()];
+        for ops in [&inserts, &deletes] {
+            // Both maintainers keep a top-k answer; each is checked
+            // against `compute_all` on the replayed graph after its timing.
+            let mut local = LocalIndex::new(&d.graph, k);
+            let (_, t_local) = time(|| {
+                for &op in ops {
+                    local.apply(op);
+                }
+            });
+            let mut lazy = LazyTopK::new(&d.graph, k);
+            let (_, t_lazy) = time(|| {
+                for &op in ops {
+                    lazy.apply(op);
+                }
+            });
+            let (truth, _) = compute_all(&replay_graph(&d.graph, ops).to_csr());
+            check_maintained(&format!("{} Local", d.name), &truth, &local.top_k(), k);
+            check_maintained(&format!("{} Lazy", d.name), &truth, &lazy.top_k(), k);
+            for t in [t_local, t_lazy] {
+                row.push(format!("{:.4}", t.as_secs_f64() * 1e3 / ops.len() as f64));
             }
-        });
-        let mut lazy = LazyTopK::new(&d.graph, k);
-        let (_, t_zi) = time(|| {
-            for &(u, v) in &inserts {
-                lazy.insert_edge(u, v);
-            }
-        });
-
-        // Deletes (from the original graph).
-        let mut local = LocalIndex::new(&d.graph);
-        let (_, t_ld) = time(|| {
-            for &(u, v) in &deletes {
-                local.delete_edge(u, v);
-            }
-        });
-        let mut lazy = LazyTopK::new(&d.graph, k);
-        let (_, t_zd) = time(|| {
-            for &(u, v) in &deletes {
-                lazy.delete_edge(u, v);
-            }
-        });
-
-        let per =
-            |t: std::time::Duration, c: usize| format!("{:.4}", t.as_secs_f64() * 1e3 / c as f64);
-        rows.push(vec![
-            d.name.into(),
-            per(t_li, inserts.len()),
-            per(t_zi, inserts.len()),
-            per(t_ld, deletes.len()),
-            per(t_zd, deletes.len()),
-        ]);
+        }
+        rows.push(row);
     }
     print_table(
         &[

@@ -15,7 +15,7 @@
 use crate::case::Case;
 use egobtw_core::opt_search::{opt_bsearch_with_fault, OptFault, OptParams};
 use egobtw_core::registry::{builtin_engines, topk_from_scores, RegisteredEngine};
-use egobtw_dynamic::{DeltaFault, DeltaIndex, LazyTopK, LocalIndex};
+use egobtw_dynamic::{LazyTopK, LocalFault, LocalIndex};
 use egobtw_graph::{CsrGraph, VertexId};
 use egobtw_parallel::{edge_pebw, vertex_pebw};
 
@@ -95,25 +95,13 @@ impl Oracle for LocalOracle {
         "dynamic::local(replay)".into()
     }
     fn topk(&self, case: &Case, _final_g: &CsrGraph) -> Vec<(VertexId, f64)> {
-        LocalIndex::replay(&case.initial(), &case.ops).top_k(case.k)
-    }
-}
-
-/// Adapter over [`DeltaIndex`] replayed across the case's update stream.
-pub struct DeltaOracle;
-
-impl Oracle for DeltaOracle {
-    fn name(&self) -> String {
-        "dynamic::delta(replay)".into()
-    }
-    fn topk(&self, case: &Case, _final_g: &CsrGraph) -> Vec<(VertexId, f64)> {
-        DeltaIndex::replay(&case.initial(), case.k, &case.ops).top_k()
+        LocalIndex::replay(&case.initial(), case.k, &case.ops).top_k()
     }
 }
 
 /// Every registered algorithm path: the enumerated `core` registry, both
-/// PEBW variants at 1/2/4 threads, and all three dynamic maintainers
-/// replayed over the update stream.
+/// PEBW variants at 1/2/4 threads, and both dynamic maintainers replayed
+/// over the update stream.
 pub fn all_oracles() -> Vec<Box<dyn Oracle>> {
     let mut oracles: Vec<Box<dyn Oracle>> = builtin_engines()
         .into_iter()
@@ -126,7 +114,6 @@ pub fn all_oracles() -> Vec<Box<dyn Oracle>> {
     }
     oracles.push(Box::new(LazyOracle));
     oracles.push(Box::new(LocalOracle));
-    oracles.push(Box::new(DeltaOracle));
     oracles
 }
 
@@ -146,17 +133,17 @@ pub enum Mutation {
     /// stands in for a maintainer that forgets to apply updates. Caught
     /// whenever the stream changes any relevant score.
     StaleGraph,
-    /// `DeltaIndex` with [`DeltaFault::StalePairOnDelete`] planted: on
+    /// `LocalIndex` with [`LocalFault::StalePairOnDelete`] planted: on
     /// delete, connectors of pairs in the common-neighbor egos are never
     /// decremented, so those egos' `CB` rots low. Caught by per-vertex
     /// honesty / multiset checks on any stream with a triangle-adjacent
     /// delete.
     DeltaStalePair,
-    /// `DeltaIndex` with [`DeltaFault::MissEgo`] planted: the last
+    /// `LocalIndex` with [`LocalFault::MissEgo`] planted: the last
     /// common-neighbor ego is skipped when enumerating the affected set,
     /// and its terms silently rot.
     DeltaMissedEgo,
-    /// `DeltaIndex` with [`DeltaFault::SkipRecertify`] planted: the top-k
+    /// `LocalIndex` with [`LocalFault::SkipRecertify`] planted: the top-k
     /// boundary is never re-certified, freezing membership at the initial
     /// top-k. Caught whenever the stream changes the true top-k.
     DeltaNoRecert,
@@ -186,12 +173,12 @@ impl Mutation {
     pub const NAMES: &'static str = "tie-drop | bias | stale-graph | delta-stale-pair | \
          delta-missed-ego | delta-no-recert | opt-double-credit";
 
-    /// The fault to plant into a [`DeltaIndex`], for the delta mutants.
-    fn delta_fault(self) -> Option<DeltaFault> {
+    /// The fault to plant into a [`LocalIndex`], for the delta mutants.
+    fn local_fault(self) -> Option<LocalFault> {
         match self {
-            Mutation::DeltaStalePair => Some(DeltaFault::StalePairOnDelete),
-            Mutation::DeltaMissedEgo => Some(DeltaFault::MissEgo),
-            Mutation::DeltaNoRecert => Some(DeltaFault::SkipRecertify),
+            Mutation::DeltaStalePair => Some(LocalFault::StalePairOnDelete),
+            Mutation::DeltaMissedEgo => Some(LocalFault::MissEgo),
+            Mutation::DeltaNoRecert => Some(LocalFault::SkipRecertify),
             _ => None,
         }
     }
@@ -199,9 +186,9 @@ impl Mutation {
 
 /// An engine wrapped with one deliberate defect: the first three mutations
 /// corrupt a correct naive answer from the outside; the `Delta*` ones run
-/// the real `DeltaIndex` replay with the corresponding fault planted
-/// *inside* its update path; the `Opt*` one runs the real OptBSearch with
-/// its bound bookkeeping broken.
+/// the real `LocalIndex` replay (the `delta:K` maintainer) with the
+/// corresponding fault planted *inside* its update path; the `Opt*` one
+/// runs the real OptBSearch with its bound bookkeeping broken.
 pub struct FaultyOracle(pub Mutation);
 
 impl Oracle for FaultyOracle {
@@ -209,8 +196,8 @@ impl Oracle for FaultyOracle {
         format!("mutant::{:?}", self.0)
     }
     fn topk(&self, case: &Case, final_g: &CsrGraph) -> Vec<(VertexId, f64)> {
-        if let Some(fault) = self.0.delta_fault() {
-            let mut idx = DeltaIndex::with_fault(&case.initial(), case.k, fault);
+        if let Some(fault) = self.0.local_fault() {
+            let mut idx = LocalIndex::with_fault(&case.initial(), case.k, fault);
             for &op in &case.ops {
                 idx.apply(op);
             }
@@ -276,7 +263,6 @@ mod tests {
         assert!(names.iter().any(|n| n == "parallel::edge_pebw(t=2)"));
         assert!(names.iter().any(|n| n == "dynamic::lazy(replay)"));
         assert!(names.iter().any(|n| n == "dynamic::local(replay)"));
-        assert!(names.iter().any(|n| n == "dynamic::delta(replay)"));
         names.sort();
         names.dedup();
         assert_eq!(names.len(), oracles.len(), "duplicate oracle name");
@@ -349,7 +335,7 @@ mod tests {
         ];
         for (m, case) in checks {
             let final_g = case.final_graph();
-            let honest = DeltaOracle.topk(&case, &final_g);
+            let honest = LocalOracle.topk(&case, &final_g);
             let got = FaultyOracle(m).topk(&case, &final_g);
             let diverges = got.len() != honest.len()
                 || got

@@ -1,5 +1,5 @@
-//! Exact ego-betweenness for *all* vertices, and the `S`-maps the dynamic
-//! maintainers start from.
+//! Exact ego-betweenness for *all* vertices, and the `S`-maps the exact
+//! dynamic maintainer starts from.
 //!
 //! [`all_egos`] is the one all-egos driver behind [`compute_all`],
 //! [`compute_all_cancellable`] and the parallel crate's VertexPEBW and
@@ -242,8 +242,8 @@ impl EgoView for EdgeRows<'_> {
 }
 
 /// Builds the complete `S`-map store for `g` in one edge-centric pass
-/// (see the module docs), for the dynamic index constructors
-/// (`LocalIndex::new`, `DeltaIndex::new`).
+/// (see the module docs), for the exact dynamic index's constructor
+/// (`LocalIndex::new`, which serves the daemon's `delta:K` mode).
 pub fn build_store(g: &CsrGraph) -> SMapStore {
     let mut store = SMapStore::new(g.n());
     let edges = EdgeSet::from_graph(g);

@@ -16,9 +16,10 @@
 //! is an upper bound on `CB(u)` (Lemma 3), and it only decreases as
 //! entries are added or incremented.
 //!
-//! The maps serve `compute_all::build_store` and the dynamic maintainers
-//! it builds them for, which update them; every all-vertex and top-k
-//! engine scores egos with `ego_kernel::EgoKernel` instead.
+//! The maps serve `compute_all::build_store` and the exact dynamic
+//! maintainer (`LocalIndex`) it builds them for, which updates them;
+//! every all-vertex and top-k engine scores egos with
+//! `ego_kernel::EgoKernel` instead.
 
 use egobtw_graph::{pack_pair, FxHashMap, VertexId};
 
@@ -101,10 +102,9 @@ impl PairMap {
     /// bit-identical values no matter what order the content was built in.
     ///
     /// On a complete map this is `CB(u)` (Lemma 2); on a partial map it is
-    /// an upper bound on `CB(u)` (Lemma 3). Every reader (sequential
-    /// `compute_all`, the parallel PEBW finalizers, the dynamic
-    /// maintainers) gets outputs exactly comparable (`==`, not
-    /// epsilon-compare) across thread counts and work schedules.
+    /// an upper bound on `CB(u)` (Lemma 3). The exact dynamic maintainer
+    /// starts from these values, so two indices built on the same graph
+    /// agree bit for bit however their maps were filled.
     pub fn cb_given_degree_det(&self, degree: usize) -> f64 {
         let mut entries: Vec<(u64, u32)> = self.entries().collect();
         entries.sort_unstable_by_key(|&(key, _)| key);
@@ -134,8 +134,8 @@ impl PairMap {
 
     /// Decrements the connector count of a non-adjacent pair, removing the
     /// entry when it reaches zero (absent ≡ zero connectors). Returns the
-    /// new count. Panics in debug builds if the entry is missing or an
-    /// edge entry.
+    /// new count. Panics if the entry is missing, and in debug builds if
+    /// it is an edge entry.
     #[inline]
     pub fn remove_connector(&mut self, i: VertexId, j: VertexId) -> u32 {
         let key = pack_pair(i, j);

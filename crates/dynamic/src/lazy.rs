@@ -551,7 +551,7 @@ mod tests {
         let g0 = gnp(40, 0.15, 8);
         let k = 6;
         let mut lazy = LazyTopK::new(&g0, k);
-        let mut local = crate::local::LocalIndex::new(&g0);
+        let mut local = crate::local::LocalIndex::new(&g0, k);
         for _ in 0..200 {
             let u = rng.random_range(0..40u32);
             let v = rng.random_range(0..40u32);
@@ -566,7 +566,7 @@ mod tests {
                 local.insert_edge(u, v);
             }
             let lv: Vec<f64> = lazy.top_k().iter().map(|e| e.1).collect();
-            let tv: Vec<f64> = local.top_k(k).iter().map(|e| e.1).collect();
+            let tv: Vec<f64> = local.top_k().iter().map(|e| e.1).collect();
             for (a, b) in lv.iter().zip(&tv) {
                 assert!((a - b).abs() < 1e-9, "maintainers disagree: {a} vs {b}");
             }

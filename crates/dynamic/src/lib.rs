@@ -1,12 +1,14 @@
 //! Ego-betweenness maintenance under edge updates (Section IV).
 //!
-//! Three maintainers, trading memory for work:
+//! Two maintainers, trading memory for work:
 //!
 //! * [`local::LocalIndex`] — **LocalInsert / LocalDelete** (Algorithms
 //!   4–5): keeps the complete per-vertex maps `S_u` plus every `CB`, and
 //!   applies exact delta updates. Observation 1 bounds the blast radius of
 //!   an edge flip `(u,v)` to `{u, v} ∪ (N(u) ∩ N(v))`; Lemmas 4–7 give the
-//!   per-pair deltas. Memory `O(Σ d(u)²)`, update cost local.
+//!   per-pair deltas. Those touched egos also feed a lazily re-certified
+//!   top-k set, so reading the answer costs `O(k log k)`, not a full sort.
+//!   Memory `O(Σ d(u)²)`, update cost local.
 //! * [`lazy::LazyTopK`] — **LazyInsert / LazyDelete** (Algorithm 6): keeps
 //!   only `O(n)` state (one value + staleness flag per vertex) and the
 //!   current top-k. Monotonicity facts (insertion can only *decrease* a
@@ -14,14 +16,6 @@
 //!   bounds move with the degree) let most affected vertices be marked
 //!   stale instead of recomputed; exact recomputation happens on demand via
 //!   the per-ego kernel.
-//! * [`delta::DeltaIndex`] — dependency-delta maintenance: the full pair
-//!   stores of `LocalIndex` (exact `CB` everywhere) *plus* an incrementally
-//!   re-certified top-k set like `LazyTopK`'s, so an update costs
-//!   O(affected pairs) and publishing the answer costs O(k log k) — no
-//!   per-publish full sort. Its patch enumeration recounts affected terms
-//!   directly from adjacency instead of reusing the Lemma 4–7 helper
-//!   decomposition, making it an independent implementation the
-//!   conformance net can diff against the other two.
 //!
 //! Both are verified against from-scratch recomputation after every
 //! update in the property-test suites.
@@ -30,12 +24,19 @@
 //! replay constructors on both maintainers, so the conformance harness
 //! can treat "maintainer fed a stream" as just another engine.
 
-pub mod delta;
 pub mod lazy;
 pub mod local;
 pub mod stream;
 
-pub use delta::{DeltaFault, DeltaIndex, DeltaStats};
 pub use lazy::{LazyTopK, TopKPeek};
-pub use local::LocalIndex;
+pub use local::{LocalFault, LocalIndex};
 pub use stream::{replay_graph, EdgeOp};
+
+/// Scenario tests of the service's `delta:K` mode: a [`LocalIndex`] with a
+/// certified top-k, fed [`EdgeOp`]s one at a time through
+/// [`LocalIndex::apply`] as the daemon's writer does, and checked against
+/// `compute_all` on the mirrored graph.
+#[cfg(test)]
+mod delta {
+    mod tests;
+}

@@ -1,5 +1,5 @@
 //! LocalInsert / LocalDelete (Algorithms 4–5): exact maintenance of every
-//! vertex's ego-betweenness under edge updates.
+//! vertex's ego-betweenness under edge updates, with a certified top-k.
 //!
 //! The index keeps the same map invariant as the static engine, for every
 //! vertex `w` and unordered pair `{x,y} ⊆ N(w)`:
@@ -13,9 +13,30 @@
 //! Lemma 4–7 deltas fall out automatically instead of being transcribed
 //! case by case (the transcription in the paper's own Example 6 has two
 //! sign errors; see the errata in `egobtw_gen::toy`).
+//!
+//! On top of the exact scores the index keeps the top-`k` *set*. Every
+//! ego an update touches (`{u, v} ∪ (N(u) ∩ N(v))`, Observation 1) gets a
+//! fresh entry in a lazy max-heap of candidate outsiders; re-certification
+//! discards stale entries (value no longer current, or vertex already a
+//! member) on pop and swaps members out only while the best live outsider
+//! strictly beats the weakest member. The heap is rebuilt from the live
+//! outsiders once it holds more than `2n + 64` entries. Reading the answer
+//! ([`LocalIndex::top_k`]) is then an `O(k log k)` sort of the members.
+//!
+//! Invariants (checked exhaustively by [`LocalIndex::validate`]):
+//!
+//! * **map/CB**: the map invariant above holds for every ego, and `CB[w]`
+//!   equals the sum of its pair contributions;
+//! * **boundary**: no non-member's `CB` strictly exceeds the weakest
+//!   member's (`total_cmp`), and `|top| = min(k, n)`;
+//! * **heap coverage**: every outsider whose `CB` changed since its last
+//!   heap entry has a fresh entry — guaranteed because every touched ego
+//!   is re-queued before re-certification.
 
 use egobtw_core::smap::SMapStore;
+use egobtw_core::topk::OrdF64;
 use egobtw_graph::{CsrGraph, DynGraph, VertexId};
+use std::collections::BinaryHeap;
 
 /// Contribution of a pair to its ego's `CB`, given the stored value
 /// (`None` = non-adjacent, zero connectors).
@@ -28,6 +49,27 @@ fn contrib(val: Option<u32>) -> f64 {
     }
 }
 
+/// Deliberate defect classes planted inside the update path, for
+/// mutation-testing the conformance net (`stress --mutate delta-*`).
+/// Test-only: a faulty index is built via [`LocalIndex::with_fault`] and
+/// must be caught by the harness. A faulty index never panics (its map
+/// consistency asserts are off), so the harness sees a wrong answer, not
+/// a crash.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LocalFault {
+    /// On delete, skip the Lemma 7 connector removals inside the
+    /// common-neighbor egos — the classic stale-pair-term bug: connector
+    /// counts stay inflated and those egos' `CB` ends up too low.
+    StalePairOnDelete,
+    /// Drop the last common-neighbor ego from the insert and delete loops
+    /// — an off-by-one in the `N(u) ∩ N(v)` walk. That ego's terms and
+    /// `CB` silently rot.
+    MissEgo,
+    /// Never re-certify the top-k boundary after scores move — membership
+    /// freezes at the initial top-k even when an outsider overtakes it.
+    SkipRecertify,
+}
+
 /// Scratch buffers reused across updates, so a replayed stream does not
 /// pay one round of allocations per op (capacity survives, contents do
 /// not).
@@ -38,37 +80,90 @@ struct Scratch {
     nbrs: Vec<VertexId>,
 }
 
-/// Exact dynamic index over all vertices.
+/// Exact dynamic index over all vertices, with a maintained top-k set.
 pub struct LocalIndex {
     g: DynGraph,
     store: SMapStore,
     cb: Vec<f64>,
+    k: usize,
+    in_top: Vec<bool>,
+    /// Current top-k members, unordered (sorted only on read-out).
+    top: Vec<VertexId>,
+    /// Lazy max-heap over outsiders: entries `(cb-at-push, v)`; an entry
+    /// is live iff `v` is an outsider and the value still matches `cb[v]`.
+    cand: BinaryHeap<(OrdF64, VertexId)>,
+    /// Lower bound on the weakest member's `CB`: exact after a member
+    /// scan, then lowered by every touched member (a member's value moves
+    /// only when it is touched). An outsider at or below it cannot swap
+    /// in, so most re-certifications skip the `O(k)` scan.
+    floor: f64,
     scratch: Scratch,
+    fault: Option<LocalFault>,
 }
 
 impl LocalIndex {
     /// Builds the index from a static graph: one shared edge-centric pass
     /// (`build_store`, routed through the hybrid intersection kernels) to
-    /// populate the maps.
-    pub fn new(g: &CsrGraph) -> Self {
+    /// populate the maps, then the top-`k` set is read off directly.
+    pub fn new(g: &CsrGraph, k: usize) -> Self {
+        Self::build(g, k, None)
+    }
+
+    /// [`LocalIndex::new`] with a planted defect. Mutation-testing only.
+    pub fn with_fault(g: &CsrGraph, k: usize, fault: LocalFault) -> Self {
+        Self::build(g, k, Some(fault))
+    }
+
+    fn build(g: &CsrGraph, k: usize, fault: Option<LocalFault>) -> Self {
         let store = egobtw_core::compute_all::build_store(g);
         // Deterministic finalize: the starting values do not depend on the
         // maps' hash order. They equal `compute_all`'s kernel scores (and
         // so a fresh `LazyTopK`'s) up to float summation order.
-        let cb = (0..g.n() as VertexId)
+        let cb: Vec<f64> = (0..g.n() as VertexId)
             .map(|v| store.map(v).cb_given_degree_det(g.degree(v)))
             .collect();
+        let n = g.n();
+        let mut order: Vec<VertexId> = (0..n as VertexId).collect();
+        order.sort_by(|&a, &b| cb[b as usize].total_cmp(&cb[a as usize]).then(a.cmp(&b)));
+        let top: Vec<VertexId> = order.iter().copied().take(k).collect();
+        let mut in_top = vec![false; n];
+        for &v in &top {
+            in_top[v as usize] = true;
+        }
+        let floor = top
+            .iter()
+            .map(|&v| cb[v as usize])
+            .fold(f64::INFINITY, f64::min);
+        let mut cand = BinaryHeap::with_capacity(n.saturating_sub(k));
+        if k > 0 {
+            for v in 0..n as VertexId {
+                if !in_top[v as usize] {
+                    cand.push((OrdF64(cb[v as usize]), v));
+                }
+            }
+        }
         LocalIndex {
             g: DynGraph::from_csr(g),
             store,
             cb,
+            k,
+            in_top,
+            top,
+            cand,
+            floor,
             scratch: Scratch::default(),
+            fault,
         }
     }
 
     /// Current graph.
     pub fn graph(&self) -> &DynGraph {
         &self.g
+    }
+
+    /// The configured `k`.
+    pub fn k(&self) -> usize {
+        self.k
     }
 
     /// Current exact ego-betweenness of `v`.
@@ -82,25 +177,28 @@ impl LocalIndex {
         &self.cb
     }
 
-    /// The `k` highest-`CB` vertices right now (descending; ties toward
-    /// smaller id).
-    pub fn top_k(&self, k: usize) -> Vec<(VertexId, f64)> {
-        let mut v: Vec<(VertexId, f64)> = self
-            .cb
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (i as VertexId, c))
-            .collect();
-        v.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        v.truncate(k);
-        v
+    /// The maintained top-k (descending `CB`, ties toward smaller id).
+    /// `&self` and `O(k log k)`: every update re-certifies membership, so
+    /// reading it costs only the sort of `k` entries.
+    pub fn top_k(&self) -> Vec<(VertexId, f64)> {
+        let mut out: Vec<(VertexId, f64)> =
+            self.top.iter().map(|&v| (v, self.cb[v as usize])).collect();
+        out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        out
     }
 
-    /// Appends an isolated vertex.
+    /// Appends an isolated vertex (promoted directly while the top set is
+    /// under capacity).
     pub fn add_vertex(&mut self) -> VertexId {
         let v = self.g.add_vertex();
         self.store.push_vertex();
         self.cb.push(0.0);
+        self.in_top.push(false);
+        if self.top.len() < self.k {
+            self.promote(v);
+        } else {
+            self.requeue(v);
+        }
         v
     }
 
@@ -110,6 +208,9 @@ impl LocalIndex {
     fn add_connector(&mut self, w: VertexId, x: VertexId, y: VertexId) {
         let m = self.store.map_mut(w);
         let old = m.get(x, y);
+        if self.fault.is_some() && old == Some(0) {
+            return; // a planted fault's stale edge entry
+        }
         debug_assert_ne!(old, Some(0), "connector added to an edge pair");
         let new = m.add_connector(x, y);
         self.cb[w as usize] += contrib(Some(new)) - contrib(old);
@@ -119,6 +220,9 @@ impl LocalIndex {
     fn remove_connector(&mut self, w: VertexId, x: VertexId, y: VertexId) {
         let m = self.store.map_mut(w);
         let old = m.get(x, y);
+        if self.fault.is_some() && !matches!(old, Some(c) if c > 0) {
+            return; // a planted fault's missing entry
+        }
         debug_assert!(matches!(old, Some(c) if c > 0), "removing absent connector");
         let new = m.remove_connector(x, y);
         let new_opt = if new == 0 { None } else { Some(new) };
@@ -140,7 +244,10 @@ impl LocalIndex {
     #[inline]
     fn pair_stops_being_edge(&mut self, w: VertexId, x: VertexId, y: VertexId, connectors: u32) {
         let m = self.store.map_mut(w);
-        debug_assert_eq!(m.get(x, y), Some(0), "pair was not an edge");
+        debug_assert!(
+            self.fault.is_some() || m.get(x, y) == Some(0),
+            "pair was not an edge"
+        );
         if connectors == 0 {
             m.remove(x, y);
         } else {
@@ -171,9 +278,19 @@ impl LocalIndex {
         self.cb[w as usize] -= contrib(old);
     }
 
+    /// How many of the common-neighbor egos the Lemma 5/7 loops visit (the
+    /// planted `MissEgo` fault drops the last one).
+    fn upto(&self, common: &[VertexId]) -> usize {
+        if self.fault == Some(LocalFault::MissEgo) {
+            common.len().saturating_sub(1)
+        } else {
+            common.len()
+        }
+    }
+
     /// Inserts edge `(u,v)`, updating `CB` for `u`, `v`, and all common
-    /// neighbors (Observation 1). Returns `false` (no-op) if the edge
-    /// already exists or `u == v`.
+    /// neighbors (Observation 1), then re-certifies the top-k. Returns
+    /// `false` (no-op) if the edge already exists or `u == v`.
     pub fn insert_edge(&mut self, u: VertexId, v: VertexId) -> bool {
         if u == v || self.g.has_edge(u, v) {
             return false;
@@ -185,7 +302,7 @@ impl LocalIndex {
         common.sort_unstable();
 
         // --- common neighbors w ∈ L (Lemma 5) ---
-        for &w in &common {
+        for &w in &common[..self.upto(&common)] {
             // (u,v) becomes an edge inside GE(w).
             self.pair_becomes_edge(w, u, v);
             // v is a new connector for pairs (u,x), x ∈ N(w) ∩ N(v).
@@ -211,6 +328,7 @@ impl LocalIndex {
         self.endpoint_gains_neighbor(v, u, &common);
 
         self.g.insert_edge(u, v);
+        self.recertify_touched(u, v, &common);
         self.scratch.common = common;
         true
     }
@@ -252,7 +370,8 @@ impl LocalIndex {
     }
 
     /// Deletes edge `(u,v)`, updating `CB` for `u`, `v`, and all common
-    /// neighbors. Returns `false` (no-op) if the edge does not exist.
+    /// neighbors, then re-certifies the top-k. Returns `false` (no-op) if
+    /// the edge does not exist.
     pub fn delete_edge(&mut self, u: VertexId, v: VertexId) -> bool {
         if !self.g.has_edge(u, v) {
             return false;
@@ -262,7 +381,8 @@ impl LocalIndex {
         common.sort_unstable();
 
         // --- common neighbors w ∈ L (Lemma 7) ---
-        for &w in &common {
+        let skip_pair_terms = self.fault == Some(LocalFault::StalePairOnDelete);
+        for &w in &common[..self.upto(&common)] {
             // (u,v) stops being an edge inside GE(w); its connector count
             // is |L ∩ N(w)|.
             let c = common
@@ -270,6 +390,9 @@ impl LocalIndex {
                 .filter(|&&x| x != w && self.g.has_edge(x, w))
                 .count() as u32;
             self.pair_stops_being_edge(w, u, v, c);
+            if skip_pair_terms {
+                continue;
+            }
             // v stops connecting pairs (u,x), x ∈ N(w) ∩ N(v).
             let mut xs = std::mem::take(&mut self.scratch.xs);
             self.g.common_neighbors_into(w, v, &mut xs);
@@ -293,6 +416,7 @@ impl LocalIndex {
         self.endpoint_loses_neighbor(v, u, &common);
 
         self.g.remove_edge(u, v);
+        self.recertify_touched(u, v, &common);
         self.scratch.common = common;
         true
     }
@@ -316,9 +440,121 @@ impl LocalIndex {
         }
     }
 
+    // ---- lazy top-k re-certification ----
+
+    /// Re-queues the egos a flip of `(u,v)` touched (Observation 1), then
+    /// restores the boundary invariant.
+    fn recertify_touched(&mut self, u: VertexId, v: VertexId, common: &[VertexId]) {
+        self.requeue(u);
+        self.requeue(v);
+        for &w in common {
+            self.requeue(w);
+        }
+        self.compact();
+        self.recertify();
+    }
+
+    /// Pushes a fresh candidate entry for a touched outsider; a touched
+    /// member only lowers the floor (the weakest-member scan reads `cb`
+    /// directly).
+    fn requeue(&mut self, v: VertexId) {
+        let val = self.cb[v as usize];
+        if self.in_top[v as usize] {
+            self.floor = self.floor.min(val);
+        } else if self.k > 0 {
+            self.cand.push((OrdF64(val), v));
+        }
+    }
+
+    /// Rebuilds the heap from the live outsiders once it holds more than
+    /// `2n + 64` entries: a stale entry below the best live one is never
+    /// popped, so without this the heap grows with every touch. `O(n)`
+    /// per rebuild, at most once per `n` pushes.
+    fn compact(&mut self) {
+        let n = self.g.n();
+        if self.cand.len() <= 2 * n + 64 {
+            return;
+        }
+        self.cand = (0..n as VertexId)
+            .filter(|&v| !self.in_top[v as usize])
+            .map(|v| (OrdF64(self.cb[v as usize]), v))
+            .collect();
+    }
+
+    fn promote(&mut self, v: VertexId) {
+        debug_assert!(!self.in_top[v as usize]);
+        self.in_top[v as usize] = true;
+        self.top.push(v);
+        self.floor = self.floor.min(self.cb[v as usize]);
+    }
+
+    /// Index and id of the weakest member (ties resolved toward evicting
+    /// the larger id, so smaller ids stay — the repo-wide tie convention).
+    fn weakest_member(&self) -> Option<(usize, VertexId)> {
+        self.top
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (i, v))
+            .min_by(|a, b| {
+                self.cb[a.1 as usize]
+                    .total_cmp(&self.cb[b.1 as usize])
+                    .then(b.1.cmp(&a.1))
+            })
+    }
+
+    /// Discards dead heap entries until the top one is live, and returns
+    /// it without popping.
+    fn peek_live_best(&mut self) -> Option<(f64, VertexId)> {
+        while let Some(&(OrdF64(val), v)) = self.cand.peek() {
+            if self.in_top[v as usize] || val != self.cb[v as usize] {
+                self.cand.pop();
+            } else {
+                return Some((val, v));
+            }
+        }
+        None
+    }
+
+    /// Restores the boundary invariant: fill to capacity, then swap while
+    /// the best live outsider strictly beats the weakest member.
+    fn recertify(&mut self) {
+        if self.fault == Some(LocalFault::SkipRecertify) {
+            return;
+        }
+        while self.top.len() < self.k {
+            let Some((_, v)) = self.peek_live_best() else {
+                break;
+            };
+            self.cand.pop();
+            self.promote(v);
+        }
+        while let Some((bval, bv)) = self.peek_live_best() {
+            if bval <= self.floor {
+                break;
+            }
+            let Some((wi, wv)) = self.weakest_member() else {
+                break;
+            };
+            let wval = self.cb[wv as usize];
+            // Exact now; still a lower bound after the swap below, which
+            // replaces the weakest member with a stronger one.
+            self.floor = wval;
+            if bval > wval {
+                self.cand.pop();
+                self.top.swap_remove(wi);
+                self.in_top[wv as usize] = false;
+                self.cand.push((OrdF64(wval), wv));
+                self.promote(bv);
+            } else {
+                break;
+            }
+        }
+    }
+
     /// Exhaustively re-derives every map entry and `CB` from the current
-    /// graph and asserts they match the maintained state. Test helper —
-    /// O(n · d³); call only on small graphs.
+    /// graph and asserts they match the maintained state, then checks the
+    /// top-k boundary invariant. Test helper — O(n · d³); call only on
+    /// small graphs.
     pub fn validate(&self) {
         for w in 0..self.g.n() as VertexId {
             let nbrs = self.g.sorted_neighbors(w);
@@ -358,6 +594,20 @@ impl LocalIndex {
                 self.cb[w as usize]
             );
         }
+        // Boundary invariant.
+        assert_eq!(self.top.len(), self.k.min(self.g.n()), "top set size");
+        if let Some((_, wv)) = self.weakest_member() {
+            let min_top = self.cb[wv as usize];
+            for v in 0..self.g.n() as VertexId {
+                if !self.in_top[v as usize] {
+                    assert!(
+                        self.cb[v as usize] <= min_top,
+                        "outsider {v} ({}) beats weakest member {wv} ({min_top})",
+                        self.cb[v as usize]
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -381,17 +631,50 @@ mod tests {
         }
     }
 
+    /// The maintained top-k value multiset must equal the true one.
+    fn assert_topk_correct(idx: &LocalIndex) {
+        let g = idx.graph();
+        let mut truth: Vec<f64> = (0..g.n() as VertexId)
+            .map(|v| ego_betweenness_of(g, v))
+            .collect();
+        truth.sort_by(|a, b| b.total_cmp(a));
+        let got = idx.top_k();
+        assert_eq!(got.len(), idx.k().min(g.n()));
+        for (rank, &(v, cb)) in got.iter().enumerate() {
+            let direct = ego_betweenness_of(g, v);
+            assert!((cb - direct).abs() < 1e-9, "reported value for {v} stale");
+            assert!(
+                (cb - truth[rank]).abs() < 1e-9,
+                "rank {rank}: {cb} vs oracle {}",
+                truth[rank]
+            );
+        }
+    }
+
+    /// Blind flips over `n` vertices: inserts and deletes of random pairs,
+    /// self-loops included as no-ops.
+    fn flip(idx: &mut LocalIndex, rng: &mut StdRng) {
+        let n = idx.graph().n() as VertexId;
+        let (u, v) = (rng.random_range(0..n), rng.random_range(0..n));
+        if idx.graph().has_edge(u, v) {
+            idx.delete_edge(u, v);
+        } else {
+            idx.insert_edge(u, v);
+        }
+    }
+
     #[test]
     fn initial_values_match_naive() {
-        let idx = LocalIndex::new(&classic::karate_club());
+        let idx = LocalIndex::new(&classic::karate_club(), 5);
         assert_matches_naive(&idx);
+        assert_topk_correct(&idx);
         idx.validate();
     }
 
     #[test]
     fn paper_example5_insert_ik() {
         let g = toy::paper_graph();
-        let mut idx = LocalIndex::new(&g);
+        let mut idx = LocalIndex::new(&g, 3);
         assert!(idx.insert_edge(toy::ids::I, toy::ids::K));
         for (v, expect) in toy::example5_after_insert() {
             assert!(
@@ -410,7 +693,7 @@ mod tests {
         // Corrected values (paper's own Example 6 contradicts Lemmas 6–7;
         // see `egobtw_gen::toy`): CB(c)=14/3, CB(g)=1/2, CB(e)=13/2.
         let g = toy::paper_graph();
-        let mut idx = LocalIndex::new(&g);
+        let mut idx = LocalIndex::new(&g, 3);
         assert!(idx.delete_edge(toy::ids::C, toy::ids::G));
         for (v, expect) in toy::example6_after_delete() {
             assert!(
@@ -425,10 +708,23 @@ mod tests {
     }
 
     #[test]
+    fn paper_example7_insert_flips_top1() {
+        // Inserting (i,k) makes i the new top-1 (10.5 > 9.5).
+        let g = toy::paper_graph();
+        let mut idx = LocalIndex::new(&g, 1);
+        assert_eq!(idx.top_k()[0].0, toy::ids::F);
+        idx.insert_edge(toy::ids::I, toy::ids::K);
+        let top = idx.top_k();
+        assert_eq!(top[0].0, toy::ids::I);
+        assert!((top[0].1 - 10.5).abs() < 1e-9);
+        idx.validate();
+    }
+
+    #[test]
     fn insert_then_delete_is_identity() {
         let g = classic::karate_club();
-        let before = LocalIndex::new(&g);
-        let mut idx = LocalIndex::new(&g);
+        let before = LocalIndex::new(&g, 4);
+        let mut idx = LocalIndex::new(&g, 4);
         assert!(idx.insert_edge(3, 9));
         assert!(idx.delete_edge(3, 9));
         for v in 0..g.n() as VertexId {
@@ -438,44 +734,40 @@ mod tests {
             );
         }
         idx.validate();
+        assert_topk_correct(&idx);
     }
 
     #[test]
     fn noop_on_duplicate_or_missing() {
-        let mut idx = LocalIndex::new(&classic::path(4));
+        let mut idx = LocalIndex::new(&classic::path(4), 2);
         assert!(!idx.insert_edge(0, 1), "edge already present");
         assert!(!idx.insert_edge(2, 2), "self-loop");
         assert!(!idx.delete_edge(0, 2), "edge absent");
+        assert!(!idx.delete_edge(3, 3), "self-loop delete");
+        idx.validate();
     }
 
     #[test]
     fn randomized_update_stream_stays_exact() {
         let mut rng = StdRng::seed_from_u64(2024);
-        let g0 = gnp(24, 0.18, 3);
-        let mut idx = LocalIndex::new(&g0);
-        for step in 0..160 {
-            let u = rng.random_range(0..24u32);
-            let v = rng.random_range(0..24u32);
-            if u == v {
-                continue;
+        for k in [1usize, 5, 24] {
+            let mut idx = LocalIndex::new(&gnp(24, 0.18, 3), k);
+            for step in 0..160 {
+                flip(&mut idx, &mut rng);
+                if step % 20 == 0 {
+                    idx.validate();
+                }
+                assert_matches_naive(&idx);
+                assert_topk_correct(&idx);
             }
-            if idx.graph().has_edge(u, v) {
-                idx.delete_edge(u, v);
-            } else {
-                idx.insert_edge(u, v);
-            }
-            if step % 20 == 0 {
-                idx.validate();
-            }
-            assert_matches_naive(&idx);
+            idx.validate();
         }
-        idx.validate();
     }
 
     #[test]
     fn grow_from_empty_matches() {
         // Insert the whole toy graph edge by edge into an empty index.
-        let mut idx = LocalIndex::new(&egobtw_graph::CsrGraph::from_edges(16, &[]));
+        let mut idx = LocalIndex::new(&egobtw_graph::CsrGraph::from_edges(16, &[]), 3);
         for &(a, b) in toy::EDGES.iter() {
             idx.insert_edge(a, b);
         }
@@ -487,40 +779,177 @@ mod tests {
             );
         }
         idx.validate();
+        assert_topk_correct(&idx);
     }
 
     #[test]
     fn shrink_to_empty() {
         let g = classic::barbell(4);
-        let mut idx = LocalIndex::new(&g);
+        let mut idx = LocalIndex::new(&g, 3);
         let edges: Vec<_> = g.edges().collect();
         for (a, b) in edges {
             idx.delete_edge(a, b);
             assert_matches_naive(&idx);
+            assert_topk_correct(&idx);
         }
         for v in 0..g.n() as VertexId {
             assert_eq!(idx.cb(v), 0.0);
         }
+        idx.validate();
     }
 
     #[test]
     fn add_vertex_and_wire_up() {
-        let mut idx = LocalIndex::new(&classic::star(4));
+        let mut idx = LocalIndex::new(&classic::star(4), 2);
         let v = idx.add_vertex();
         assert_eq!(v, 4);
         idx.insert_edge(0, v);
         idx.insert_edge(1, v);
         assert_matches_naive(&idx);
         idx.validate();
+        assert_topk_correct(&idx);
     }
 
     #[test]
     fn top_k_tracks_updates() {
+        // The O(k log k) read-off must report exactly the k largest
+        // maintained scores — the values a full sort of `all_cb` gives.
+        let mut rng = StdRng::seed_from_u64(77);
+        for k in [1usize, 3, 10, 40] {
+            let mut idx = LocalIndex::new(&gnp(30, 0.2, 4), k);
+            for _ in 0..120 {
+                flip(&mut idx, &mut rng);
+                let mut sorted = idx.all_cb().to_vec();
+                sorted.sort_by(|a, b| b.total_cmp(a));
+                sorted.truncate(k);
+                let got: Vec<u64> = idx.top_k().iter().map(|e| e.1.to_bits()).collect();
+                let want: Vec<u64> = sorted.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, want, "k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn k_zero_and_k_exceeding_n() {
+        let g = classic::path(5);
+        let mut idx = LocalIndex::new(&g, 0);
+        idx.insert_edge(0, 4);
+        assert!(idx.top_k().is_empty());
+        idx.validate();
+        let mut idx = LocalIndex::new(&g, 50);
+        idx.insert_edge(0, 4);
+        assert_eq!(idx.top_k().len(), 5);
+        idx.validate();
+        assert_topk_correct(&idx);
+    }
+
+    #[test]
+    fn k_never_touches_scores() {
+        // The top-k bookkeeping only reads `cb`: indices at k = 0, 1 and n
+        // fed the same stream hold bit-identical scores and equal graphs
+        // after every op.
+        let n = 30;
+        let g0 = gnp(n, 0.2, 21);
+        let mut idx: Vec<LocalIndex> = [0, 1, n].iter().map(|&k| LocalIndex::new(&g0, k)).collect();
+        let mut rng = StdRng::seed_from_u64(21);
+        for step in 0..300 {
+            let (u, v) = (
+                rng.random_range(0..n as VertexId),
+                rng.random_range(0..n as VertexId),
+            );
+            let insert = rng.random_bool(0.5);
+            for i in idx.iter_mut() {
+                if insert {
+                    i.insert_edge(u, v);
+                } else {
+                    i.delete_edge(u, v);
+                }
+            }
+            let bits = |i: &LocalIndex| i.all_cb().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for i in &idx[1..] {
+                assert_eq!(
+                    bits(i),
+                    bits(&idx[0]),
+                    "step {step}: scores differ at k={}",
+                    i.k()
+                );
+                assert!(i.graph().to_csr() == idx[0].graph().to_csr(), "step {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn planted_faults_actually_corrupt() {
+        // Each fault must produce an observable divergence on a small
+        // scripted stream — otherwise the conformance mutants are vacuous.
         let g = toy::paper_graph();
-        let mut idx = LocalIndex::new(&g);
-        assert_eq!(idx.top_k(1)[0].0, toy::ids::F);
-        // Example 7: inserting (i,k) makes i the new top-1 (10.5 > 9.5).
-        idx.insert_edge(toy::ids::I, toy::ids::K);
-        assert_eq!(idx.top_k(1)[0].0, toy::ids::I);
+        let diverged = |a: &LocalIndex, b: &LocalIndex| {
+            (0..g.n() as VertexId).any(|v| (a.cb(v) - b.cb(v)).abs() > 1e-9)
+        };
+
+        // StalePairOnDelete: deleting (c,g) leaves connector counts
+        // inflated in the common-neighbor egos.
+        let mut bad = LocalIndex::with_fault(&g, 3, LocalFault::StalePairOnDelete);
+        let mut good = LocalIndex::new(&g, 3);
+        bad.delete_edge(toy::ids::C, toy::ids::G);
+        good.delete_edge(toy::ids::C, toy::ids::G);
+        assert!(diverged(&bad, &good), "StalePairOnDelete is not observable");
+
+        // MissEgo: the skipped common-neighbor ego keeps its old CB.
+        let mut bad = LocalIndex::with_fault(&g, 3, LocalFault::MissEgo);
+        let mut good = LocalIndex::new(&g, 3);
+        bad.insert_edge(toy::ids::I, toy::ids::K);
+        good.insert_edge(toy::ids::I, toy::ids::K);
+        assert!(diverged(&bad, &good), "MissEgo is not observable");
+
+        // SkipRecertify: Example 7's top-1 flip never happens.
+        let mut bad = LocalIndex::with_fault(&g, 1, LocalFault::SkipRecertify);
+        bad.insert_edge(toy::ids::I, toy::ids::K);
+        assert_eq!(
+            bad.top_k()[0].0,
+            toy::ids::F,
+            "SkipRecertify should freeze membership"
+        );
+
+        // A faulty index keeps running without panicking: the stale
+        // entries it leaves behind are skipped, not asserted on.
+        for fault in [LocalFault::StalePairOnDelete, LocalFault::MissEgo] {
+            let mut rng = StdRng::seed_from_u64(8);
+            let mut bad = LocalIndex::with_fault(&gnp(20, 0.3, 8), 4, fault);
+            for _ in 0..400 {
+                flip(&mut bad, &mut rng);
+            }
+        }
+    }
+
+    #[test]
+    fn candidate_heap_stays_bounded() {
+        // Every touched outsider pushes an entry, and a stale entry below
+        // the best live one is never popped; a long stream must not grow
+        // the heap without bound.
+        let n = 40;
+        let mut idx = LocalIndex::new(&gnp(n, 0.2, 5), 3);
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut peak = 0;
+        for _ in 0..4_000 {
+            flip(&mut idx, &mut rng);
+            peak = peak.max(idx.cand.len());
+        }
+        idx.validate();
+        assert!(peak <= 2 * n + 64, "candidate heap reached {peak} entries");
+    }
+
+    #[test]
+    fn scratch_buffers_actually_reused() {
+        let g = classic::karate_club();
+        let mut idx = LocalIndex::new(&g, 4);
+        idx.insert_edge(3, 9);
+        let cap = idx.scratch.common.capacity();
+        assert!(cap > 0, "scratch must retain capacity");
+        idx.delete_edge(3, 9);
+        assert!(
+            idx.scratch.common.capacity() >= cap,
+            "scratch capacity must survive ops"
+        );
     }
 }

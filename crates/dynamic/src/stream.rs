@@ -14,7 +14,7 @@
 //! its incremental path, so "maintained state" and "state rebuilt from
 //! scratch on [`replay_graph`]'s output" can be compared differentially.
 
-use crate::{DeltaIndex, LazyTopK, LocalIndex};
+use crate::{LazyTopK, LocalIndex};
 use egobtw_graph::{CsrGraph, DynGraph, VertexId};
 
 /// One edge update. Endpoints must be `< n` of the graph the stream is
@@ -118,35 +118,14 @@ impl LocalIndex {
         }
     }
 
-    /// Builds the index on `g0`, then replays `ops` in order through the
-    /// incremental path.
-    pub fn replay(g0: &CsrGraph, ops: &[EdgeOp]) -> Self {
-        let mut local = LocalIndex::new(g0);
+    /// Builds the index on `g0` with a top-`k` set, then replays `ops` in
+    /// order through the incremental path.
+    pub fn replay(g0: &CsrGraph, k: usize, ops: &[EdgeOp]) -> Self {
+        let mut local = LocalIndex::new(g0, k);
         for &op in ops {
             local.apply(op);
         }
         local
-    }
-}
-
-impl DeltaIndex {
-    /// Applies one op through the dependency-delta path. Returns whether
-    /// the graph changed.
-    pub fn apply(&mut self, op: EdgeOp) -> bool {
-        match op {
-            EdgeOp::Insert(u, v) => self.insert_edge(u, v),
-            EdgeOp::Delete(u, v) => self.delete_edge(u, v),
-        }
-    }
-
-    /// Builds the index on `g0`, then replays `ops` in order through the
-    /// incremental path.
-    pub fn replay(g0: &CsrGraph, k: usize, ops: &[EdgeOp]) -> Self {
-        let mut delta = DeltaIndex::new(g0, k);
-        for &op in ops {
-            delta.apply(op);
-        }
-        delta
     }
 }
 
@@ -184,20 +163,15 @@ mod tests {
         let stream = ops();
         let truth = replay_graph(&g0, &stream).to_csr();
         let mut lazy = LazyTopK::replay(&g0, 5, &stream);
-        let local = LocalIndex::replay(&g0, &stream);
-        let delta = DeltaIndex::replay(&g0, 5, &stream);
+        let local = LocalIndex::replay(&g0, 5, &stream);
         assert_eq!(lazy.graph().m(), truth.m());
         assert_eq!(local.graph().m(), truth.m());
-        assert_eq!(delta.graph().m(), truth.m());
         // And on the same values: maintained top-k vs fresh search.
         let fresh = egobtw_core::base_bsearch(&truth, 5);
         for ((_, a), (_, b)) in lazy.top_k().iter().zip(&fresh.entries) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
-        for ((_, a), (_, b)) in local.top_k(5).iter().zip(&fresh.entries) {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-        }
-        for ((_, a), (_, b)) in delta.top_k().iter().zip(&fresh.entries) {
+        for ((_, a), (_, b)) in local.top_k().iter().zip(&fresh.entries) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
     }

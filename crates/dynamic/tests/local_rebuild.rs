@@ -1,16 +1,20 @@
-//! Rebuild-equivalence property tests for `DeltaIndex`.
+//! Rebuild-equivalence property tests for `LocalIndex`.
 //!
 //! The contract: after **every prefix** of a seeded `EdgeOp` stream, the
-//! incrementally maintained `DeltaIndex` agrees with a `LocalIndex` built
+//! incrementally maintained `LocalIndex` agrees with `compute_all` run
 //! *from scratch* on the replayed graph — per-vertex scores at the
 //! repo-wide relative tolerance, and the maintained top-k judged by the
-//! conformance harness's tie-aware boundary comparator. Streams come from
-//! the conformance scenario generator, so all 8 `gen` families are
-//! exercised, and every stream is extended with a scripted tail covering
-//! the delete-reinsert, duplicate-edge, and self-loop edge cases.
+//! conformance harness's tie-aware boundary comparator. The truth comes
+//! from the static engine, not from a fresh index, so a bug shared by
+//! the index's own build path (`build_store`, `cb_given_degree_det`)
+//! cannot cancel out. Streams come from the conformance scenario
+//! generator, so all 8 `gen` families are exercised, and every stream is
+//! extended with a scripted tail covering the delete-reinsert,
+//! duplicate-edge, and self-loop edge cases.
 
 use conformance::{approx_eq, check_topk, scenario, Case, FAMILIES, REL_TOL};
-use egobtw_dynamic::{DeltaIndex, EdgeOp, LocalIndex};
+use egobtw_core::compute_all;
+use egobtw_dynamic::{EdgeOp, LocalIndex};
 use egobtw_graph::{DynGraph, VertexId};
 
 /// The scripted edge-case tail: a delete-reinsert cycle on (0,1), a
@@ -35,10 +39,10 @@ fn check_case_prefixes(case: &Case) {
     if case.n >= 2 {
         ops.extend(edge_case_tail());
     }
-    let mut delta = DeltaIndex::new(&g0, case.k);
+    let mut local = LocalIndex::new(&g0, case.k);
     let mut mirror = DynGraph::from_csr(&g0);
     for (step, &op) in ops.iter().enumerate() {
-        let changed = delta.apply(op);
+        let changed = local.apply(op);
         let mirrored = match op {
             EdgeOp::Insert(u, v) => mirror.insert_edge(u, v),
             EdgeOp::Delete(u, v) => mirror.remove_edge(u, v),
@@ -49,26 +53,25 @@ fn check_case_prefixes(case: &Case) {
             case.label
         );
         // From-scratch oracle on the replayed prefix.
-        let fresh = LocalIndex::new(&mirror.to_csr());
-        let truth = fresh.all_cb();
+        let (truth, _) = compute_all(&mirror.to_csr());
         for v in 0..case.n as VertexId {
             assert!(
-                approx_eq(delta.cb(v), truth[v as usize], REL_TOL),
+                approx_eq(local.cb(v), truth[v as usize], REL_TOL),
                 "[{}] op {step} ({op:?}): CB({v}) = {} but rebuild says {}",
                 case.label,
-                delta.cb(v),
+                local.cb(v),
                 truth[v as usize]
             );
         }
         // Tie-aware boundary check of the maintained top-k set.
-        if let Err(why) = check_topk(truth, &delta.top_k(), case.k, REL_TOL) {
+        if let Err(why) = check_topk(&truth, &local.top_k(), case.k, REL_TOL) {
             panic!(
                 "[{}] op {step} ({op:?}): top-k violation: {why}",
                 case.label
             );
         }
     }
-    delta.validate();
+    local.validate();
 }
 
 /// Picks, per family, the first seeded scenario that carries a non-empty

@@ -3,7 +3,7 @@
 //!
 //! Each [`Dataset`] is split into a writer side and a reader side:
 //!
-//! * the **writer** — a dynamic maintainer ([`DeltaIndex`] or
+//! * the **writer** — a dynamic maintainer ([`LocalIndex`] or
 //!   [`LazyTopK`]) behind a `Mutex`, owning the mutable graph, plus the
 //!   last published CSR. Update batches go through the maintainer's
 //!   incremental path; the next epoch's CSR is that last one with only
@@ -51,7 +51,7 @@
 
 use crate::wal::{self, crash, PersistConfig, Wal, WalMetrics, WalRecord, WAL_FILE};
 use egobtw_core::registry::topk_from_scores;
-use egobtw_dynamic::{DeltaIndex, EdgeOp, LazyTopK};
+use egobtw_dynamic::{EdgeOp, LazyTopK, LocalIndex};
 use egobtw_graph::io::fnv1a64;
 use egobtw_graph::{CsrGraph, FxHashMap, VertexId};
 use egobtw_telemetry::{Counter, Gauge, Histogram, Registry};
@@ -79,10 +79,10 @@ pub enum Mode {
         /// The maintained `k`.
         k: usize,
     },
-    /// Exact delta maintenance at a fixed `k`: every score is kept exact
-    /// by per-pair contribution patching, and the top-k heap is
-    /// re-certified per op, so every snapshot publishes exact entries
-    /// without re-sorting all `n` scores.
+    /// Exact local maintenance (Algorithms 4–5) at a fixed `k`: every
+    /// score is kept exact by the Lemma 4–7 pair patches, and the top-k
+    /// heap is re-certified per op, so every snapshot publishes exact
+    /// entries without re-sorting all `n` scores.
     Delta {
         /// The maintained `k`.
         k: usize,
@@ -342,14 +342,14 @@ impl EpochSnapshot {
 /// Writer-side state: the maintainer plus the epoch it has reached.
 enum Maintainer {
     Lazy(Box<LazyTopK>),
-    Delta(Box<DeltaIndex>),
+    Delta(Box<LocalIndex>),
 }
 
 impl Maintainer {
     fn build(g: &CsrGraph, mode: Mode) -> Maintainer {
         match mode {
             Mode::Lazy { k } => Maintainer::Lazy(Box::new(LazyTopK::new(g, k))),
-            Mode::Delta { k } => Maintainer::Delta(Box::new(DeltaIndex::new(g, k))),
+            Mode::Delta { k } => Maintainer::Delta(Box::new(LocalIndex::new(g, k))),
         }
     }
 

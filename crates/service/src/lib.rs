@@ -13,7 +13,7 @@
 //! * [`catalog`] — named datasets, each an **epoch-swapped** pair of
 //!   (writer-side dynamic maintainer, reader-side immutable
 //!   [`EpochSnapshot`]). Writers apply update batches through
-//!   [`egobtw_dynamic::DeltaIndex`] or [`egobtw_dynamic::LazyTopK`],
+//!   [`egobtw_dynamic::LocalIndex`] or [`egobtw_dynamic::LazyTopK`],
 //!   build the next CSR snapshot off to the side by patching only the
 //!   rows the batch touched into the previous one, and publish it with
 //!   one pointer swap — readers clone an `Arc` and never block on

@@ -3,7 +3,8 @@
 //!
 //! Simulates a communication network under churn: a burst of new contacts,
 //! then link failures, with the lazy maintainer tracking the top-k and the
-//! local index tracking every vertex — and cross-checking each other.
+//! local index keeping every vertex exact under its own certified top-k —
+//! and cross-checking each other.
 //!
 //! ```text
 //! cargo run --release --example dynamic_stream
@@ -25,7 +26,7 @@ fn main() {
 
     let k = 10;
     let mut lazy = LazyTopK::new(&g, k);
-    let mut local = LocalIndex::new(&g);
+    let mut local = LocalIndex::new(&g, k);
     let mut rng = StdRng::seed_from_u64(99);
 
     let updates = 2_000;
@@ -65,7 +66,7 @@ fn main() {
             // thousands of 1/(c+1) terms, and the incremental updates
             // legitimately round differently from a batch recompute.
             let lv: Vec<f64> = top.iter().map(|e| e.1).collect();
-            let tv: Vec<f64> = local.top_k(k).iter().map(|e| e.1).collect();
+            let tv: Vec<f64> = local.top_k().iter().map(|e| e.1).collect();
             assert!(
                 lv.iter()
                     .zip(&tv)

@@ -59,7 +59,7 @@ fn main() {
 
     // --- Example 5: LocalInsert of (i,k) ---
     println!("\nExample 5 (insert (i,k), LocalInsert):");
-    let mut local = LocalIndex::new(&g);
+    let mut local = LocalIndex::new(&g, 1);
     local.insert_edge(ids::I, ids::K);
     row('k', local.cb(ids::K), "1/2");
     row('i', local.cb(ids::I), "10.5");
@@ -67,7 +67,7 @@ fn main() {
 
     // --- Example 6: LocalDelete of (c,g) ---
     println!("\nExample 6 (delete (c,g), LocalDelete — corrected values):");
-    let mut local = LocalIndex::new(&g);
+    let mut local = LocalIndex::new(&g, 1);
     local.delete_edge(ids::C, ids::G);
     row('g', local.cb(ids::G), "1/2");
     row(

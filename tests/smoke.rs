@@ -108,8 +108,8 @@ fn dynamic_indices_match_static_recompute_on_karate() {
     let want = topk_of(&oracle, K);
 
     // Exact local index straight after construction.
-    let local = LocalIndex::new(&g);
-    assert_same_topk("LocalIndex::top_k", &local.top_k(K), &want);
+    let local = LocalIndex::new(&g, K);
+    assert_same_topk("LocalIndex::top_k", &local.top_k(), &want);
 
     // Lazy index after a round-trip edge update must match the oracle.
     let mut lazy = LazyTopK::new(&g, K);
