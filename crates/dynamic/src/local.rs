@@ -16,12 +16,14 @@
 //!
 //! On top of the exact scores the index keeps the top-`k` *set*. Every
 //! ego an update touches (`{u, v} ∪ (N(u) ∩ N(v))`, Observation 1) gets a
-//! fresh entry in a lazy max-heap of candidate outsiders; re-certification
-//! discards stale entries (value no longer current, or vertex already a
-//! member) on pop and swaps members out only while the best live outsider
-//! strictly beats the weakest member. The heap is rebuilt from the live
-//! outsiders once it holds more than `2n + 64` entries. Reading the answer
-//! ([`LocalIndex::top_k`]) is then an `O(k log k)` sort of the members.
+//! fresh entry in one of two lazy heaps: a max-heap of candidate outsiders
+//! or a min-heap of members. Re-certification discards stale entries
+//! (value no longer current, or vertex on the other side) on pop and
+//! swaps members out only while the best live outsider strictly beats the
+//! weakest live member, so each swap costs `O(log n)`. A heap is rebuilt
+//! from its live side once it holds more than twice that side plus 64
+//! entries. Reading the answer ([`LocalIndex::top_k`]) is then an
+//! `O(k log k)` sort of the members.
 //!
 //! Invariants (checked exhaustively by [`LocalIndex::validate`]):
 //!
@@ -29,14 +31,27 @@
 //!   equals the sum of its pair contributions;
 //! * **boundary**: no non-member's `CB` strictly exceeds the weakest
 //!   member's (`total_cmp`), and `|top| = min(k, n)`;
-//! * **heap coverage**: every outsider whose `CB` changed since its last
-//!   heap entry has a fresh entry — guaranteed because every touched ego
-//!   is re-queued before re-certification.
+//! * **heap coverage**: every vertex whose `CB` changed since its last
+//!   heap entry has a fresh entry on its side — guaranteed because every
+//!   touched ego is re-queued before re-certification.
 
 use egobtw_core::smap::SMapStore;
 use egobtw_core::topk::OrdF64;
 use egobtw_graph::{CsrGraph, DynGraph, VertexId};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+/// `top_pos` of an outsider.
+const OUTSIDER: u32 = u32::MAX;
+
+/// A member-heap entry: the max-heap pops the smallest `CB` first and, on
+/// ties, the larger id — the member to evict under the repo-wide tie
+/// convention (smaller ids stay).
+type MemberKey = Reverse<(OrdF64, Reverse<VertexId>)>;
+
+fn member_key(val: f64, v: VertexId) -> MemberKey {
+    Reverse((OrdF64(val), Reverse(v)))
+}
 
 /// Contribution of a pair to its ego's `CB`, given the stored value
 /// (`None` = non-adjacent, zero connectors).
@@ -86,17 +101,16 @@ pub struct LocalIndex {
     store: SMapStore,
     cb: Vec<f64>,
     k: usize,
-    in_top: Vec<bool>,
+    /// Index of each member in `top`; [`OUTSIDER`] for outsiders.
+    top_pos: Vec<u32>,
     /// Current top-k members, unordered (sorted only on read-out).
     top: Vec<VertexId>,
     /// Lazy max-heap over outsiders: entries `(cb-at-push, v)`; an entry
     /// is live iff `v` is an outsider and the value still matches `cb[v]`.
     cand: BinaryHeap<(OrdF64, VertexId)>,
-    /// Lower bound on the weakest member's `CB`: exact after a member
-    /// scan, then lowered by every touched member (a member's value moves
-    /// only when it is touched). An outsider at or below it cannot swap
-    /// in, so most re-certifications skip the `O(k)` scan.
-    floor: f64,
+    /// Lazy min-heap over members, live like `cand` with the sides
+    /// swapped; its live top is the weakest member.
+    members: BinaryHeap<MemberKey>,
     scratch: Scratch,
     fault: Option<LocalFault>,
 }
@@ -126,18 +140,15 @@ impl LocalIndex {
         let mut order: Vec<VertexId> = (0..n as VertexId).collect();
         order.sort_by(|&a, &b| cb[b as usize].total_cmp(&cb[a as usize]).then(a.cmp(&b)));
         let top: Vec<VertexId> = order.iter().copied().take(k).collect();
-        let mut in_top = vec![false; n];
-        for &v in &top {
-            in_top[v as usize] = true;
+        let mut top_pos = vec![OUTSIDER; n];
+        for (i, &v) in top.iter().enumerate() {
+            top_pos[v as usize] = i as u32;
         }
-        let floor = top
-            .iter()
-            .map(|&v| cb[v as usize])
-            .fold(f64::INFINITY, f64::min);
+        let members = top.iter().map(|&v| member_key(cb[v as usize], v)).collect();
         let mut cand = BinaryHeap::with_capacity(n.saturating_sub(k));
         if k > 0 {
             for v in 0..n as VertexId {
-                if !in_top[v as usize] {
+                if top_pos[v as usize] == OUTSIDER {
                     cand.push((OrdF64(cb[v as usize]), v));
                 }
             }
@@ -147,10 +158,10 @@ impl LocalIndex {
             store,
             cb,
             k,
-            in_top,
+            top_pos,
             top,
             cand,
-            floor,
+            members,
             scratch: Scratch::default(),
             fault,
         }
@@ -193,7 +204,7 @@ impl LocalIndex {
         let v = self.g.add_vertex();
         self.store.push_vertex();
         self.cb.push(0.0);
-        self.in_top.push(false);
+        self.top_pos.push(OUTSIDER);
         if self.top.len() < self.k {
             self.promote(v);
         } else {
@@ -454,60 +465,80 @@ impl LocalIndex {
         self.recertify();
     }
 
-    /// Pushes a fresh candidate entry for a touched outsider; a touched
-    /// member only lowers the floor (the weakest-member scan reads `cb`
-    /// directly).
+    /// Pushes a fresh entry for a touched vertex on its side's heap.
     fn requeue(&mut self, v: VertexId) {
         let val = self.cb[v as usize];
-        if self.in_top[v as usize] {
-            self.floor = self.floor.min(val);
+        if self.is_member(v) {
+            self.members.push(member_key(val, v));
         } else if self.k > 0 {
             self.cand.push((OrdF64(val), v));
         }
     }
 
-    /// Rebuilds the heap from the live outsiders once it holds more than
-    /// `2n + 64` entries: a stale entry below the best live one is never
-    /// popped, so without this the heap grows with every touch. `O(n)`
-    /// per rebuild, at most once per `n` pushes.
+    #[inline]
+    fn is_member(&self, v: VertexId) -> bool {
+        self.top_pos[v as usize] != OUTSIDER
+    }
+
+    /// Rebuilds a heap from its live side once it holds more than twice
+    /// that side plus 64 entries: a stale entry behind the live top is
+    /// never popped, so without this the heaps grow with every touch.
+    /// `O(n)` per outsider rebuild, at most once per `n` pushes; `O(k)`
+    /// per member rebuild, at most once per `k` pushes.
     fn compact(&mut self) {
         let n = self.g.n();
-        if self.cand.len() <= 2 * n + 64 {
-            return;
+        if self.cand.len() > 2 * n + 64 {
+            self.cand = (0..n as VertexId)
+                .filter(|&v| !self.is_member(v))
+                .map(|v| (OrdF64(self.cb[v as usize]), v))
+                .collect();
         }
-        self.cand = (0..n as VertexId)
-            .filter(|&v| !self.in_top[v as usize])
-            .map(|v| (OrdF64(self.cb[v as usize]), v))
-            .collect();
+        if self.members.len() > 2 * self.top.len() + 64 {
+            self.members = self
+                .top
+                .iter()
+                .map(|&v| member_key(self.cb[v as usize], v))
+                .collect();
+        }
     }
 
     fn promote(&mut self, v: VertexId) {
-        debug_assert!(!self.in_top[v as usize]);
-        self.in_top[v as usize] = true;
+        debug_assert!(!self.is_member(v));
+        self.top_pos[v as usize] = self.top.len() as u32;
         self.top.push(v);
-        self.floor = self.floor.min(self.cb[v as usize]);
+        self.members.push(member_key(self.cb[v as usize], v));
     }
 
-    /// Index and id of the weakest member (ties resolved toward evicting
-    /// the larger id, so smaller ids stay — the repo-wide tie convention).
-    fn weakest_member(&self) -> Option<(usize, VertexId)> {
-        self.top
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (i, v))
-            .min_by(|a, b| {
-                self.cb[a.1 as usize]
-                    .total_cmp(&self.cb[b.1 as usize])
-                    .then(b.1.cmp(&a.1))
-            })
+    /// Removes member `v` from `top` and hands it back to the outsiders.
+    fn demote(&mut self, v: VertexId) {
+        let i = self.top_pos[v as usize] as usize;
+        self.top.swap_remove(i);
+        if let Some(&moved) = self.top.get(i) {
+            self.top_pos[moved as usize] = i as u32;
+        }
+        self.top_pos[v as usize] = OUTSIDER;
+        self.cand.push((OrdF64(self.cb[v as usize]), v));
     }
 
-    /// Discards dead heap entries until the top one is live, and returns
-    /// it without popping.
+    /// Discards dead outsider entries until the top one is live, and
+    /// returns it without popping.
     fn peek_live_best(&mut self) -> Option<(f64, VertexId)> {
         while let Some(&(OrdF64(val), v)) = self.cand.peek() {
-            if self.in_top[v as usize] || val != self.cb[v as usize] {
+            if self.is_member(v) || val != self.cb[v as usize] {
                 self.cand.pop();
+            } else {
+                return Some((val, v));
+            }
+        }
+        None
+    }
+
+    /// Discards dead member entries until the top one is live, and
+    /// returns the weakest member without popping.
+    fn peek_live_weakest(&mut self) -> Option<(f64, VertexId)> {
+        while let Some(&Reverse((OrdF64(val), Reverse(v)))) = self.members.peek() {
+            if !self.is_member(v) || val != self.cb[v as usize] {
+                self.members.pop();
             } else {
                 return Some((val, v));
             }
@@ -529,24 +560,14 @@ impl LocalIndex {
             self.promote(v);
         }
         while let Some((bval, bv)) = self.peek_live_best() {
-            if bval <= self.floor {
-                break;
-            }
-            let Some((wi, wv)) = self.weakest_member() else {
-                break;
-            };
-            let wval = self.cb[wv as usize];
-            // Exact now; still a lower bound after the swap below, which
-            // replaces the weakest member with a stronger one.
-            self.floor = wval;
-            if bval > wval {
-                self.cand.pop();
-                self.top.swap_remove(wi);
-                self.in_top[wv as usize] = false;
-                self.cand.push((OrdF64(wval), wv));
-                self.promote(bv);
-            } else {
-                break;
+            match self.peek_live_weakest() {
+                Some((wval, wv)) if bval > wval => {
+                    self.cand.pop();
+                    self.members.pop();
+                    self.demote(wv);
+                    self.promote(bv);
+                }
+                _ => break,
             }
         }
     }
@@ -596,10 +617,23 @@ impl LocalIndex {
         }
         // Boundary invariant.
         assert_eq!(self.top.len(), self.k.min(self.g.n()), "top set size");
-        if let Some((_, wv)) = self.weakest_member() {
+        for (i, &v) in self.top.iter().enumerate() {
+            assert_eq!(self.top_pos[v as usize], i as u32, "position of member {v}");
+        }
+        assert_eq!(
+            self.top_pos.iter().filter(|&&i| i != OUTSIDER).count(),
+            self.top.len(),
+            "only members have a position"
+        );
+        let weakest = self.top.iter().min_by(|&&a, &&b| {
+            self.cb[a as usize]
+                .total_cmp(&self.cb[b as usize])
+                .then(b.cmp(&a))
+        });
+        if let Some(&wv) = weakest {
             let min_top = self.cb[wv as usize];
             for v in 0..self.g.n() as VertexId {
-                if !self.in_top[v as usize] {
+                if !self.is_member(v) {
                     assert!(
                         self.cb[v as usize] <= min_top,
                         "outsider {v} ({}) beats weakest member {wv} ({min_top})",
@@ -844,6 +878,21 @@ mod tests {
     }
 
     #[test]
+    fn ties_evict_the_larger_id() {
+        // A 6-leaf star plus isolated vertex 7; at k = 3 the members are
+        // the center and leaves 1 and 2, the last two tied at 0.
+        let edges: Vec<(VertexId, VertexId)> = (1..=6).map(|v| (0, v)).collect();
+        let mut idx = LocalIndex::new(&CsrGraph::from_edges(8, &edges), 3);
+        let ids = |idx: &LocalIndex| idx.top_k().iter().map(|&(v, _)| v).collect::<Vec<_>>();
+        assert_eq!(ids(&idx), [0, 1, 2]);
+        // Leaf 5 gains the open pair {0, 7} and beats both tied members:
+        // the larger id, 2, leaves.
+        idx.insert_edge(5, 7);
+        idx.validate();
+        assert_eq!(ids(&idx), [0, 5, 1]);
+    }
+
+    #[test]
     fn k_never_touches_scores() {
         // The top-k bookkeeping only reads `cb`: indices at k = 0, 1 and n
         // fed the same stream hold bit-identical scores and equal graphs
@@ -924,19 +973,24 @@ mod tests {
 
     #[test]
     fn candidate_heap_stays_bounded() {
-        // Every touched outsider pushes an entry, and a stale entry below
-        // the best live one is never popped; a long stream must not grow
-        // the heap without bound.
+        // Every touched vertex pushes an entry on its side's heap, and a
+        // stale entry behind the live top is never popped; a long stream
+        // must grow neither heap without bound.
         let n = 40;
         let mut idx = LocalIndex::new(&gnp(n, 0.2, 5), 3);
         let mut rng = StdRng::seed_from_u64(5);
-        let mut peak = 0;
+        let (mut peak, mut peak_members) = (0, 0);
         for _ in 0..4_000 {
             flip(&mut idx, &mut rng);
             peak = peak.max(idx.cand.len());
+            peak_members = peak_members.max(idx.members.len());
         }
         idx.validate();
         assert!(peak <= 2 * n + 64, "candidate heap reached {peak} entries");
+        assert!(
+            peak_members <= 2 * 3 + 64,
+            "member heap reached {peak_members} entries"
+        );
     }
 
     #[test]

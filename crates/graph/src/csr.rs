@@ -90,6 +90,10 @@ impl Default for HybridConfig {
 }
 
 /// Packed bitmap rows for the hub vertices (see [`HybridConfig`]).
+///
+/// Each row is its own shared allocation, so the next epoch of a graph
+/// under edge updates ([`CsrGraph::with_rows`]) copies the rows of the
+/// hubs it touches and shares every other row with its parent.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct HubBitmaps {
     /// The policy the rows were chosen under, kept so a patched graph
@@ -103,9 +107,18 @@ struct HubBitmaps {
     /// Shared between a graph and the graphs patched from it while the
     /// hub set holds.
     row_of: Arc<[u32]>,
-    /// Concatenated rows; shared like `row_of` until a patch rewrites a
-    /// hub row (copy on write).
-    words: Arc<[u64]>,
+    /// The rows, indexed by `row_of`. A patch copies this pointer array
+    /// and replaces the touched hubs' rows; untouched rows stay shared.
+    rows: Arc<[Arc<[u64]>]>,
+}
+
+/// Total bitmap words the policy allows on a graph with `n` vertices and
+/// `m` edges.
+fn budget_words(n: usize, m: usize, cfg: &HybridConfig) -> usize {
+    // Small constant allowance so a tiny graph with one genuine hub
+    // (e.g. a star) still gets its row under a per-edge budget.
+    m.saturating_mul(cfg.budget_words_per_edge)
+        .saturating_add(8 * n.div_ceil(64))
 }
 
 /// The smallest affordable hub degree threshold `≥ cfg.min_hub_degree`
@@ -119,11 +132,7 @@ fn hub_threshold_for(offsets: &[usize], cfg: &HybridConfig) -> usize {
         return usize::MAX;
     }
     let words_per_row = n.div_ceil(64);
-    // Small constant allowance so a tiny graph with one genuine hub
-    // (e.g. a star) still gets its row under a per-edge budget.
-    let budget_words = m
-        .saturating_mul(cfg.budget_words_per_edge)
-        .saturating_add(8 * words_per_row);
+    let budget_words = budget_words(n, m, cfg);
     let degree = |u: usize| offsets[u + 1] - offsets[u];
     let d_max = (0..n).map(degree).max().unwrap_or(0);
     let floor = cfg.min_hub_degree.max(1);
@@ -150,12 +159,16 @@ fn hub_threshold_for(offsets: &[usize], cfg: &HybridConfig) -> usize {
     }
 }
 
-/// Sets exactly the bits of `row_adj` in `row` (cleared first).
-fn fill_row(row: &mut [u64], row_adj: &[VertexId]) {
-    row.fill(0);
+/// A fresh `words_per_row`-word row with exactly the bits of `row_adj`.
+fn packed_row(row_adj: &[VertexId], words_per_row: usize) -> Arc<[u64]> {
+    // Built in place: collecting a sized iterator allocates the `Arc`
+    // once, with no copy out of a `Vec`.
+    let mut row: Arc<[u64]> = std::iter::repeat_n(0, words_per_row).collect();
+    let words = Arc::get_mut(&mut row).expect("unshared");
     for &v in row_adj {
-        row[v as usize >> 6] |= 1u64 << (v & 63);
+        words[v as usize >> 6] |= 1u64 << (v & 63);
     }
+    row
 }
 
 impl HubBitmaps {
@@ -165,7 +178,7 @@ impl HubBitmaps {
             threshold: usize::MAX,
             words_per_row: 0,
             row_of: Arc::new([]),
-            words: Arc::new([]),
+            rows: Arc::new([]),
         }
     }
 
@@ -177,26 +190,14 @@ impl HubBitmaps {
         }
         let n = offsets.len() - 1;
         let words_per_row = n.div_ceil(64);
-        let hubs = (0..n)
-            .filter(|&u| offsets[u + 1] - offsets[u] >= threshold)
-            .count();
-        // Built in place: collecting a sized iterator allocates the `Arc`
-        // once, with no copy out of a `Vec`.
         let mut row_of: Arc<[u32]> = std::iter::repeat_n(u32::MAX, n).collect();
-        let mut words: Arc<[u64]> = std::iter::repeat_n(0, hubs * words_per_row).collect();
+        let mut rows = Vec::new();
         {
             let row_of = Arc::get_mut(&mut row_of).expect("unshared");
-            let words = Arc::get_mut(&mut words).expect("unshared");
-            let mut next_row = 0u32;
             for u in 0..n {
                 if offsets[u + 1] - offsets[u] >= threshold {
-                    let base = next_row as usize * words_per_row;
-                    fill_row(
-                        &mut words[base..base + words_per_row],
-                        &adj[offsets[u]..offsets[u + 1]],
-                    );
-                    row_of[u] = next_row;
-                    next_row += 1;
+                    row_of[u] = rows.len() as u32;
+                    rows.push(packed_row(&adj[offsets[u]..offsets[u + 1]], words_per_row));
                 }
             }
         }
@@ -205,23 +206,49 @@ impl HubBitmaps {
             threshold,
             words_per_row,
             row_of,
-            words,
+            rows: rows.into(),
+        }
+    }
+
+    /// The threshold [`hub_threshold_for`] picks for a CSR that differs
+    /// from this one's only in the adjacency of the `rows` vertices. While
+    /// the threshold sits at the policy floor, the new hub count follows
+    /// from the touched vertices alone; if those hubs still fit the budget,
+    /// the floor stays and the two `O(n)` degree scans are skipped.
+    fn patched_threshold(&self, offsets: &[usize], rows: &[(VertexId, &[VertexId])]) -> usize {
+        let floor = self.cfg.min_hub_degree.max(1);
+        if self.threshold != floor {
+            return hub_threshold_for(offsets, &self.cfg);
+        }
+        let hubs = rows.iter().fold(self.row_count(), |hubs, &(u, row)| {
+            match (self.row(u).is_some(), row.len() >= floor) {
+                (false, true) => hubs + 1,
+                (true, false) => hubs - 1,
+                _ => hubs,
+            }
+        });
+        let n = offsets.len() - 1;
+        let m = offsets[n] / 2;
+        if hubs > 0 && hubs.saturating_mul(self.words_per_row) <= budget_words(n, m, &self.cfg) {
+            floor
+        } else {
+            hub_threshold_for(offsets, &self.cfg)
         }
     }
 
     /// The rows for a CSR that differs from this one's only in the
     /// adjacency of the `rows` vertices (see [`CsrGraph::with_rows`]).
     /// When the threshold holds and no patched vertex crosses it, the hub
-    /// set is unchanged, so the rows are shared — copied once if a patched
-    /// vertex is a hub, and only the patched hubs' rows rewritten;
-    /// otherwise everything is rebuilt under the stored policy.
+    /// set is unchanged: the row pointers are copied, each patched hub
+    /// gets a fresh row, and every other row is shared with `self`.
+    /// Otherwise everything is rebuilt under the stored policy.
     fn patched(
         &self,
         offsets: &[usize],
         adj: &[VertexId],
         rows: &[(VertexId, &[VertexId])],
     ) -> Self {
-        let threshold = hub_threshold_for(offsets, &self.cfg);
+        let threshold = self.patched_threshold(offsets, rows);
         let same_hubs = threshold == self.threshold
             && rows
                 .iter()
@@ -230,33 +257,34 @@ impl HubBitmaps {
             return HubBitmaps::build(offsets, adj, &self.cfg);
         }
         let mut hubs = self.clone();
-        for &(u, row) in rows {
-            let slot = hubs.row_of.get(u as usize).copied().unwrap_or(u32::MAX);
-            if slot != u32::MAX {
-                let base = slot as usize * hubs.words_per_row;
-                let words = Arc::make_mut(&mut hubs.words);
-                fill_row(&mut words[base..base + hubs.words_per_row], row);
+        if rows.iter().any(|&(u, _)| self.slot(u).is_some()) {
+            let mut hub_rows: Arc<[Arc<[u64]>]> = self.rows.iter().cloned().collect();
+            let slots = Arc::get_mut(&mut hub_rows).expect("unshared");
+            for &(u, row) in rows {
+                if let Some(slot) = self.slot(u) {
+                    slots[slot] = packed_row(row, self.words_per_row);
+                }
             }
+            hubs.rows = hub_rows;
         }
         hubs
+    }
+
+    /// The index of `u`'s row in `rows`, if it is a hub.
+    #[inline]
+    fn slot(&self, u: VertexId) -> Option<usize> {
+        let slot = *self.row_of.get(u as usize)?;
+        (slot != u32::MAX).then_some(slot as usize)
     }
 
     /// The bitmap row of `u`, if it is a hub.
     #[inline]
     fn row(&self, u: VertexId) -> Option<&[u64]> {
-        let slot = *self.row_of.get(u as usize)?;
-        if slot == u32::MAX {
-            return None;
-        }
-        let base = slot as usize * self.words_per_row;
-        Some(&self.words[base..base + self.words_per_row])
+        self.slot(u).map(|slot| &*self.rows[slot])
     }
 
     fn row_count(&self) -> usize {
-        self.words
-            .len()
-            .checked_div(self.words_per_row)
-            .unwrap_or(0)
+        self.rows.len()
     }
 }
 
@@ -448,10 +476,12 @@ impl CsrGraph {
     /// each list strictly increasing; the caller keeps symmetry (both
     /// endpoints of every flipped edge appear). Untouched rows are copied
     /// as contiguous spans with shifted offsets — no edge sort, no
-    /// hashing. Hub rows are shared with this graph (copied once if a
-    /// touched vertex is a hub, and only the touched hubs' rows
-    /// rewritten), unless the new degrees move the threshold or a touched
-    /// vertex crosses it, in which case the bitmaps are rebuilt under the
+    /// hashing. Hub rows are shared with this graph one by one: each
+    /// touched hub gets a fresh row, and the cost of the hub layer is
+    /// `O(hubs)` pointer copies plus `O(n/64)` words per touched hub.
+    /// While the threshold sits at the policy floor it is re-checked from
+    /// the touched degrees alone. If the new degrees move the threshold or
+    /// a touched vertex crosses it, the bitmaps are rebuilt under the
     /// policy this graph was built with. Panics if `rows` is unsorted or
     /// out of range. The result equals
     /// [`CsrGraph::from_edges_with`] on the updated edge list under that
@@ -636,8 +666,8 @@ impl CsrGraph {
         let n = self.n();
         let h = &self.hubs;
         if h.row_of.is_empty() {
-            if !h.words.is_empty() {
-                return Err("hub words without row index".into());
+            if !h.rows.is_empty() {
+                return Err("hub rows without row index".into());
             }
             return Ok(());
         }
@@ -650,6 +680,9 @@ impl CsrGraph {
                 h.words_per_row,
                 n.div_ceil(64)
             ));
+        }
+        if let Some(i) = h.rows.iter().position(|r| r.len() != h.words_per_row) {
+            return Err(format!("hub row {i} is not {} words", h.words_per_row));
         }
         for u in 0..n as VertexId {
             let row = h.row(u);
@@ -925,7 +958,8 @@ mod tests {
         assert!(g.hub_count() > 0);
         assert_eq!(g.validate(), Ok(()));
         // Flip a bit in vertex 0's row: adjacency and bitmap now disagree.
-        Arc::make_mut(&mut g.hubs.words)[0] ^= 1u64 << 3;
+        let rows = Arc::make_mut(&mut g.hubs.rows);
+        Arc::make_mut(&mut rows[0])[0] ^= 1u64 << 3;
         assert!(g.validate().unwrap_err().contains("disagrees"));
     }
 

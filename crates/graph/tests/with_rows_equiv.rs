@@ -3,8 +3,10 @@
 //! give exactly the graph `from_edges_with` builds from the updated edge
 //! list under the same hub policy — adjacency, offsets, hub threshold,
 //! hub count and every hub row — on hub-heavy, hub-free and all-hub
-//! graphs, including threshold crossings in both directions and rows
-//! emptied to degree 0.
+//! graphs, including threshold crossings in both directions, rows
+//! emptied to degree 0, and thresholds the memory budget sets above the
+//! policy floor. A patch must also share every untouched hub row with
+//! its parent and leave the parent as it was.
 
 use egobtw_gen::rmat::RmatParams;
 use egobtw_graph::{CsrGraph, HybridConfig, VertexId};
@@ -244,5 +246,94 @@ fn dense_policy_survives_patching() {
         f.flip(&[(u, 0)], &format!("dense seed {seed}: {u} refilled"));
         assert!(f.is_hub(u) && f.is_hub(0));
         every_live_vertex_is_a_hub(&f);
+    }
+}
+
+#[test]
+fn untouched_hub_rows_are_shared() {
+    let cfg = HybridConfig::new();
+    let g = egobtw_gen::rmat(9, 4, RmatParams::skewed(), 7);
+    let t = g.hub_threshold().expect("needs hubs");
+    // The largest hub and a non-hub two degrees short of the threshold,
+    // so flipping the pair between them moves neither across it.
+    let hub = g.vertices().max_by_key(|&u| g.degree(u)).unwrap();
+    let other = g
+        .vertices()
+        .find(|&u| g.degree(u) + 2 <= t && u != hub)
+        .expect("a non-hub");
+    assert!(g.degree(hub) > t, "the hub keeps its row after a delete");
+    // A deep copy of the parent: its hub rows are rebuilt, not shared.
+    let before = g.with_hybrid_config(&cfg);
+    let mut f = Flipper::new(g, cfg);
+    let parent = f.g.clone();
+    f.flip(&[(hub, other)], "one hub and one non-hub");
+    let child = &f.g;
+    assert_eq!(child.hub_threshold(), parent.hub_threshold());
+    assert_eq!(child.hub_count(), parent.hub_count());
+    for u in parent.vertices().filter(|&u| u != hub) {
+        if let Some(row) = parent.hub_bitmap(u) {
+            let shared = child.hub_bitmap(u).expect("hub set holds");
+            assert_eq!(row.as_ptr(), shared.as_ptr(), "hub {u}'s row is shared");
+        }
+    }
+    let fresh_row = child.hub_bitmap(hub).expect("hub keeps its row");
+    assert_ne!(fresh_row.as_ptr(), parent.hub_bitmap(hub).unwrap().as_ptr());
+    assert_ne!(Some(fresh_row), parent.hub_bitmap(hub), "new bits");
+    assert!(parent == before, "the parent is unchanged");
+    assert_eq!(parent.validate(), Ok(()));
+}
+
+#[test]
+fn budget_bound_threshold_matches_fresh_build() {
+    // One bitmap word per edge: on this graph the budget sets the
+    // threshold above a floor of 4. Under a floor of 9 the threshold
+    // starts at the floor, and growing hubs must lift it off.
+    for floor in [4, 9] {
+        let cfg = HybridConfig {
+            enabled: true,
+            min_hub_degree: floor,
+            budget_words_per_edge: 1,
+        };
+        let g = egobtw_gen::rmat(10, 4, RmatParams::skewed(), 3).with_hybrid_config(&cfg);
+        let n = g.n();
+        let mut f = Flipper::new(g, cfg);
+        let mut rng = StdRng::seed_from_u64(0xB0D6 ^ floor as u64);
+        let mut thresholds = vec![f.g.hub_threshold().expect("needs hubs")];
+        for batch in 0..60 {
+            // Grow hubs-to-be, empty the largest vertex, and delete edges
+            // between non-hubs, so `m` and the threshold move both ways.
+            // The last kind crosses no threshold and shrinks only the
+            // budget: the hub set must still be re-decided.
+            let t = *thresholds.last().unwrap();
+            let pairs = match batch % 6 {
+                0..=2 => {
+                    let near: Vec<VertexId> =
+                        f.g.vertices().filter(|&u| f.g.degree(u) + 3 >= t).collect();
+                    random_pairs(&mut rng, n, &near, 48)
+                }
+                3 => {
+                    let top = f.g.vertices().max_by_key(|&u| f.g.degree(u)).unwrap();
+                    drop_edges(&f, top, usize::MAX)
+                }
+                _ => {
+                    f.g.edges()
+                        .filter(|&(u, v)| !f.is_hub(u) && !f.is_hub(v))
+                        .take(48)
+                        .collect()
+                }
+            };
+            f.flip(&pairs, &format!("floor {floor} batch {batch}"));
+            thresholds.extend(f.g.hub_threshold());
+        }
+        let ctx = format!("floor {floor}: {thresholds:?}");
+        assert_eq!(thresholds.len(), 61, "{ctx}");
+        assert!(thresholds.iter().any(|&t| t > floor), "{ctx}");
+        let rose = thresholds.windows(2).any(|w| w[1] > w[0]);
+        let fell = thresholds.windows(2).any(|w| w[1] < w[0]);
+        assert!(rose && fell, "threshold moved both ways: {ctx}");
+        if floor == 9 {
+            let lifted = thresholds.windows(2).any(|w| w[0] == floor && w[1] > floor);
+            assert!(lifted, "a patch lifted the threshold off the floor: {ctx}");
+        }
     }
 }

@@ -510,6 +510,13 @@ pub struct DatasetMetrics {
     /// Per-UPDATE publish time in nanoseconds: patching the next epoch's
     /// CSR plus swapping it in for readers.
     pub publish_latency_ns: Arc<Histogram>,
+    /// Per-UPDATE time in nanoseconds the maintainer spends applying the
+    /// batch's ops.
+    pub update_apply_ns: Arc<Histogram>,
+    /// Per-UPDATE time in nanoseconds to append (and, under
+    /// [`crate::wal::FsyncPolicy::Always`], fsync) the batch's WAL record;
+    /// durable datasets only.
+    pub wal_append_ns: Arc<Histogram>,
     /// WAL append/fsync counters handed to the dataset's [`Wal`].
     pub wal: WalMetrics,
 }
@@ -520,6 +527,7 @@ impl DatasetMetrics {
         let shard = shard.to_string();
         let labels: &[(&str, &str)] = &[("dataset", dataset), ("shard", &shard)];
         let counter = |name, help: &str| registry.counter(name, help, labels);
+        let histogram = |name, help: &str| registry.histogram(name, help, labels);
         DatasetMetrics {
             cache_hits: counter(
                 "egobtw_cache_hits_total",
@@ -559,10 +567,17 @@ impl DatasetMetrics {
                 "egobtw_wal_compactions_total",
                 "Snapshot compactions completed.",
             ),
-            publish_latency_ns: registry.histogram(
+            publish_latency_ns: histogram(
                 "egobtw_publish_latency_ns",
                 "Per-UPDATE time to patch the next epoch's CSR and swap it in.",
-                labels,
+            ),
+            update_apply_ns: histogram(
+                "egobtw_update_apply_ns",
+                "Per-UPDATE time the maintainer spends applying the batch's ops.",
+            ),
+            wal_append_ns: histogram(
+                "egobtw_wal_append_ns",
+                "Per-UPDATE time to append the batch's WAL record (durable datasets).",
             ),
             wal: WalMetrics {
                 appends: counter("egobtw_wal_appends_total", "WAL records appended."),
@@ -821,6 +836,7 @@ impl Dataset {
         let n = w.graph.n();
         let mut applied = 0usize;
         let mut touched = Vec::with_capacity(2 * ops.len());
+        let apply_start = Instant::now();
         for &op in ops {
             let (u, v) = op.endpoints();
             if (u as usize) >= n || (v as usize) >= n {
@@ -831,13 +847,21 @@ impl Dataset {
                 touched.extend([u, v]);
             }
         }
+        self.metrics
+            .update_apply_ns
+            .record(apply_start.elapsed().as_nanos() as u64);
         let epoch = w.epoch + 1;
         if let Some(p) = w.persist.as_mut() {
             let rec = WalRecord {
                 epoch,
                 ops: ops.to_vec(),
             };
-            if let Err(e) = p.wal.append(&rec) {
+            let append_start = Instant::now();
+            let appended = p.wal.append(&rec);
+            self.metrics
+                .wal_append_ns
+                .record(append_start.elapsed().as_nanos() as u64);
+            if let Err(e) = appended {
                 self.retired.store(true, Ordering::SeqCst);
                 return Err(format!(
                     "WAL append failed, dataset {:?} retired: {e}",

@@ -440,9 +440,9 @@ pub fn metrics_crosscheck(requests: usize, seed: u64) -> Result<Json, String> {
 }
 
 /// Metric names every healthy daemon must expose (the live-scrape gate).
-/// `egobtw_publish_latency_ns` is per dataset, so the gate expects a
-/// daemon with at least one dataset loaded.
-pub const REQUIRED_METRICS: [&str; 9] = [
+/// `egobtw_publish_latency_ns` and `egobtw_update_apply_ns` are per
+/// dataset, so the gate expects a daemon with at least one dataset loaded.
+pub const REQUIRED_METRICS: [&str; 10] = [
     "egobtw_requests_admitted_total",
     "egobtw_requests_completed_total",
     "egobtw_requests_cancelled_total",
@@ -452,6 +452,7 @@ pub const REQUIRED_METRICS: [&str; 9] = [
     "egobtw_timeouts_total",
     "egobtw_compute_inflight",
     "egobtw_publish_latency_ns",
+    "egobtw_update_apply_ns",
 ];
 
 /// Live-daemon scrape gate: two `METRICS` scrapes over TCP, each parsed

@@ -333,3 +333,42 @@ fn publish_latency_counts_every_update() {
     assert_eq!(publish.count, updates.len() as u64);
     assert!(publish.sum > 0.0);
 }
+
+/// UPDATE's write path is attributed per dataset: on a durable dataset
+/// every UPDATE records one maintainer-apply time and one WAL-append time
+/// beside its publish time.
+#[test]
+fn update_apply_and_wal_append_count_every_update() {
+    use egobtw_service::wal::{FsyncPolicy, PersistConfig};
+    use egobtw_service::CatalogConfig;
+
+    let dir = std::env::temp_dir().join(format!("egobtw-telemetry-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let service = Service::with_config(CatalogConfig {
+        persist: Some(PersistConfig {
+            dir: dir.clone(),
+            fsync: FsyncPolicy::Never,
+            compact_every: 1_000,
+        }),
+        ..CatalogConfig::default()
+    });
+    service
+        .load_graph("d", egobtw_gen::gnp(40, 0.15, 7), Mode::default())
+        .unwrap();
+    let updates = ["UPDATE d +0,1 +2,3", "UPDATE d -0,1", "UPDATE d +2,3 +5,5"];
+    for line in updates {
+        let reply = service.handle_line(line);
+        assert!(reply.starts_with("OK"), "{line}: {reply}");
+    }
+    let expo = prometheus::parse(&service.handle_line("METRICS")).unwrap();
+    let families = ["egobtw_update_apply_ns", "egobtw_wal_append_ns"];
+    assert!(expo.validate(&families).is_empty(), "families well-formed");
+    for family in families {
+        let h = expo
+            .histogram(family, &[("dataset", "d")])
+            .unwrap_or_else(|| panic!("{family} series for dataset d"));
+        assert_eq!(h.count, updates.len() as u64, "{family}");
+    }
+    drop(service);
+    let _ = std::fs::remove_dir_all(&dir);
+}
