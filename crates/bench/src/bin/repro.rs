@@ -24,7 +24,8 @@
 use egobtw_baseline::{overlap_fraction, top_bw};
 use egobtw_bench::{case_study, ms, print_table, standins, time, Dataset};
 use egobtw_core::{
-    base_bsearch, compute_all, compute_all_naive, opt_bsearch, OptParams, TopkResult,
+    base_bsearch, compute_all, compute_all_naive, opt_bsearch, topk_from_scores, OptParams,
+    TopkResult,
 };
 use egobtw_dynamic::{replay_graph, EdgeOp, LazyTopK, LocalIndex};
 use egobtw_gen::sample::{edge_sample, vertex_sample};
@@ -206,13 +207,13 @@ fn pick_updates(g: &egobtw_graph::CsrGraph, count: usize, seed: u64) -> (EdgeLis
     (inserts, deletes)
 }
 
-/// Relative tolerance for a maintained score against `compute_all`: the
+/// Relative tolerance for `LazyTopK`'s top-k against `compute_all`: the
 /// conformance harness's `REL_TOL`, restated because `egobtw-bench` sits
 /// below `egobtw-service` and takes no dependency on `conformance`.
 const REL_TOL: f64 = 1e-9;
 
 /// Asserts that a maintained top-k holds the `k` largest `compute_all`
-/// scores, each reported for a vertex that really has it.
+/// scores, each reported for a vertex that really has it, up to ties.
 fn check_maintained(who: &str, truth: &[f64], got: &[(VertexId, f64)], k: usize) {
     let close = |a: f64, b: f64| (a - b).abs() <= REL_TOL * a.abs().max(b.abs()).max(1.0);
     let mut want = truth.to_vec();
@@ -243,6 +244,7 @@ fn exp3(scale: f64, k: usize) {
         for ops in [&inserts, &deletes] {
             // Both maintainers keep a top-k answer; each is checked
             // against `compute_all` on the replayed graph after its timing.
+            // `LocalIndex`'s must be exactly the full sort's.
             let mut local = LocalIndex::new(&d.graph, k);
             let (_, t_local) = time(|| {
                 for &op in ops {
@@ -256,7 +258,11 @@ fn exp3(scale: f64, k: usize) {
                 }
             });
             let (truth, _) = compute_all(&replay_graph(&d.graph, ops).to_csr());
-            check_maintained(&format!("{} Local", d.name), &truth, &local.top_k(), k);
+            assert!(
+                local.top_k() == topk_from_scores(&truth, k),
+                "{} Local: top-k differs from compute_all's",
+                d.name
+            );
             check_maintained(&format!("{} Lazy", d.name), &truth, &lazy.top_k(), k);
             for t in [t_local, t_lazy] {
                 row.push(format!("{:.4}", t.as_secs_f64() * 1e3 / ops.len() as f64));

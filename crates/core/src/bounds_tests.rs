@@ -1,11 +1,10 @@
 //! Tests of the two upper bounds on ego-betweenness: the static bound
 //! `ub` of Lemma 2 ([`CsrGraph::degree_bound`]) and the dynamic bound
-//! `ũb` of Lemma 3, on a partial `S`-map ([`PairMap::cb_given_degree_det`])
-//! and as OptBSearch's identified-edge counters ([`EgoCompletion::bound`]).
+//! `ũb` of Lemma 3, as OptBSearch's identified-edge counters
+//! ([`EgoCompletion::bound`]).
 
 mod tests {
     use crate::ego_kernel::{EgoCompletion, EgoKernel};
-    use crate::smap::PairMap;
     use egobtw_graph::CsrGraph;
 
     #[test]
@@ -18,15 +17,6 @@ mod tests {
     #[test]
     fn dynamic_bound_starts_at_static_and_tightens() {
         let g = CsrGraph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)]);
-        let mut m = PairMap::default();
-        let d = g.degree(0);
-        assert_eq!(m.cb_given_degree_det(d), g.degree_bound(0));
-        m.set_edge(1, 2); // identified edge between neighbors
-        let b = m.cb_given_degree_det(d);
-        assert_eq!(b, g.degree_bound(0) - 1.0);
-        m.add_connector(3, 4); // identified connector
-        assert_eq!(m.cb_given_degree_det(d), b - 0.5);
-
         // The counters identify edges only: completing 1 finds {1, 2}.
         let mut done = EgoCompletion::new(g.n());
         assert_eq!(done.bound(&g, 0), g.degree_bound(0));

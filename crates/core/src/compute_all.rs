@@ -20,7 +20,10 @@
 //! [`build_store`] is the paper's edge-centric `S`-map pass: for every
 //! edge `(a,b)` and `C = N(a) ∩ N(b)`, each `x ∈ C` closes a triangle
 //! (`S_x(a,b) = 0`), and each non-adjacent pair `{x,y} ⊆ C` is a diamond
-//! with connectors `a` and `b` (bumping `S_b(x,y)` and `S_a(x,y)`).
+//! with connectors `a` and `b` (bumping `S_b(x,y)` and `S_a(x,y)`). A
+//! finished map scores its ego through the kernel's summation
+//! ([`crate::smap::PairMap::cb`]), so the exact dynamic maintainer starts
+//! bit-identical to [`compute_all`].
 
 use crate::cancel::{Cancel, Cancelled};
 use crate::ego_kernel::EgoKernel;

@@ -23,8 +23,8 @@
 //! cheaper evaluator with no tuned constant: the sweep wins on small or
 //! dense egos, the wedge count on hubs whose neighbours share little.
 //! Either evaluator tallies pairs by connector count and sums
-//! `hist[c]/(c+1)` in ascending `c`, so the two agree bit for bit and the
-//! result does not depend on vertex labels.
+//! `hist[c]/(c+1)` in ascending `c` ([`cb_of_histogram`]), so the two
+//! agree bit for bit and the result does not depend on vertex labels.
 //!
 //! `EgoCompletion` is what OptBSearch keeps between exact computations:
 //! which vertices are complete, and per vertex the number of its ego
@@ -39,6 +39,21 @@
 use crate::naive::EgoView;
 use crate::stats::SearchStats;
 use egobtw_graph::{CsrGraph, VertexId};
+
+/// `CB` of an ego whose non-adjacent neighbour pairs are tallied by
+/// connector count (Lemma 2): `zero` pairs without a connector, and
+/// `rest[c − 1]` pairs with `c ≥ 1`, each contributing `1/(c+1)`. The
+/// non-zero counts are summed in ascending `c`. Every exact score is this
+/// sum — [`EgoKernel`]'s and the dynamic maintainer's `S`-maps'
+/// ([`crate::smap::PairMap::cb`]) — so equal tallies give equal bits.
+pub fn cb_of_histogram(zero: u64, rest: &[u64]) -> f64 {
+    std::iter::once(&zero)
+        .chain(rest)
+        .enumerate()
+        .filter(|&(_, &h)| h != 0)
+        .map(|(c, &h)| h as f64 / (c + 1) as f64)
+        .sum()
+}
 
 /// The two ways [`EgoKernel`] can count connectors.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -166,12 +181,7 @@ impl EgoKernel {
             Evaluator::BitsetSweep => self.bitset_sweep(),
             Evaluator::WedgeCount => self.wedge_count(),
         }
-        self.hist
-            .iter()
-            .enumerate()
-            .filter(|&(_, &h)| h != 0)
-            .map(|(c, &h)| h as f64 / (c + 1) as f64)
-            .sum()
+        cb_of_histogram(self.hist[0], &self.hist[1..])
     }
 
     /// Tallies every non-adjacent pair by its popcounted connectors.

@@ -13,10 +13,12 @@
 //! * [`naive`] — the per-ego "straightforward algorithm" (bitset-based) and
 //!   a simple reference implementation; these are both baselines and test
 //!   oracles;
-//! * [`smap`] — the per-vertex pair-count maps `S_u` the dynamic
-//!   maintainers start from (`compute_all::build_store`) and update;
+//! * [`smap`] — the per-vertex pair-count maps `S_u` the exact dynamic
+//!   maintainer starts from (`compute_all::build_store`) and updates,
+//!   each scored by the kernel's own summation;
 //! * [`ego_kernel`] — the dense ego-local kernel (EgoBWCal) behind both
-//!   searches and every per-ego caller, and OptBSearch's identified-edge
+//!   searches and every per-ego caller, the one histogram summation
+//!   every exact score goes through, and OptBSearch's identified-edge
 //!   counters that feed its dynamic bound `ũb` (Lemma 3; the static bound
 //!   `ub` of Lemma 2 is `CsrGraph::degree_bound`);
 //! * [`cancel`] — the cooperative [`Cancel`] token (explicit flag +

@@ -11,32 +11,46 @@
 //!   (vertices adjacent to both, inside `N(u)`, other than `u`); the pair
 //!   contributes `1/(c+1)`.
 //!
-//! `CB(u) = d(d-1)/2 − Σ_entries (1 − contrib)`, evaluated by
-//! [`PairMap::cb_given_degree_det`]; on a partial map the same expression
-//! is an upper bound on `CB(u)` (Lemma 3), and it only decreases as
-//! entries are added or incremented.
+//! Each map tallies its connector entries by count as it mutates, so
+//! [`PairMap::cb`] reads `CB(u)` off that histogram, with the absent
+//! pairs counted as `C(d,2)` minus the stored entries, and sums it with
+//! [`cb_of_histogram`], `EgoKernel`'s own summation: a complete map
+//! scores bit for bit as the kernel does.
 //!
 //! The maps serve `compute_all::build_store` and the exact dynamic
 //! maintainer (`LocalIndex`) it builds them for, which updates them;
 //! every all-vertex and top-k engine scores egos with
 //! `ego_kernel::EgoKernel` instead.
 
+use crate::ego_kernel::cb_of_histogram;
 use egobtw_graph::{pack_pair, FxHashMap, VertexId};
-
-/// Contribution of one stored entry to `CB` (absent entries contribute 1).
-#[inline]
-pub fn entry_contribution(val: u32) -> f64 {
-    if val == 0 {
-        0.0
-    } else {
-        1.0 / (f64::from(val) + 1.0)
-    }
-}
+use std::collections::hash_map::Entry;
 
 /// One vertex's pair-count map.
 #[derive(Clone, Debug, Default)]
 pub struct PairMap {
     map: FxHashMap<u64, u32>,
+    /// `by_count[c − 1]` entries hold `c ≥ 1` connectors; the last bucket
+    /// is never zero.
+    by_count: Vec<u64>,
+}
+
+/// Moves one entry's tally from value `was` to value `now` (`None`: no
+/// entry; edge entries are not tallied) and trims empty last buckets.
+#[inline]
+fn retally(by_count: &mut Vec<u64>, was: Option<u32>, now: Option<u32>) {
+    if let Some(c @ 1..) = was {
+        by_count[c as usize - 1] -= 1;
+    }
+    if let Some(c @ 1..) = now {
+        if by_count.len() < c as usize {
+            by_count.resize(c as usize, 0);
+        }
+        by_count[c as usize - 1] += 1;
+    }
+    while by_count.last() == Some(&0) {
+        by_count.pop();
+    }
 }
 
 impl PairMap {
@@ -46,7 +60,7 @@ impl PairMap {
     /// it exactly once per triangle corner.
     #[inline]
     pub fn set_edge(&mut self, i: VertexId, j: VertexId) {
-        let prev = self.map.insert(pack_pair(i, j), 0);
+        let prev = self.set_raw(i, j, 0);
         debug_assert!(
             prev.is_none(),
             "edge entry ({i},{j}) written twice (prev = {prev:?})"
@@ -59,18 +73,16 @@ impl PairMap {
     /// incremented.
     #[inline]
     pub fn add_connector(&mut self, i: VertexId, j: VertexId) -> u32 {
-        use std::collections::hash_map::Entry;
-        match self.map.entry(pack_pair(i, j)) {
+        let (was, now) = match self.map.entry(pack_pair(i, j)) {
             Entry::Occupied(mut e) => {
                 debug_assert!(*e.get() > 0, "bumping an edge entry ({i},{j})");
                 *e.get_mut() += 1;
-                *e.get()
+                (Some(*e.get() - 1), *e.get())
             }
-            Entry::Vacant(slot) => {
-                slot.insert(1);
-                1
-            }
-        }
+            Entry::Vacant(slot) => (None, *slot.insert(1)),
+        };
+        retally(&mut self.by_count, was, Some(now));
+        now
     }
 
     /// Looks up the raw value for a pair.
@@ -91,45 +103,37 @@ impl PairMap {
         self.map.is_empty()
     }
 
-    /// Iterates `(packed_pair, val)` entries (hash order).
-    #[inline]
-    pub fn entries(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
-        self.map.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// Evaluates `d(d−1)/2 − Σ (1 − contrib)` over the stored entries,
-    /// summed in sorted key order: two maps with equal *content* yield
-    /// bit-identical values no matter what order the content was built in.
-    ///
-    /// On a complete map this is `CB(u)` (Lemma 2); on a partial map it is
-    /// an upper bound on `CB(u)` (Lemma 3). The exact dynamic maintainer
-    /// starts from these values, so two indices built on the same graph
-    /// agree bit for bit however their maps were filled.
-    pub fn cb_given_degree_det(&self, degree: usize) -> f64 {
-        let mut entries: Vec<(u64, u32)> = self.entries().collect();
-        entries.sort_unstable_by_key(|&(key, _)| key);
-        let d = degree as f64;
-        let mut cb = d * (d - 1.0) / 2.0;
-        for (_, val) in entries {
-            cb -= 1.0 - entry_contribution(val);
+    /// `CB(u)` for an ego of `degree` neighbours whose map is complete
+    /// (Lemma 2), summed as `EgoKernel` sums it: [`cb_of_histogram`] over
+    /// the absent pairs and the connector tallies. `+0.0` below degree 2,
+    /// as the kernel returns.
+    pub fn cb(&self, degree: usize) -> f64 {
+        if degree < 2 {
+            return 0.0;
         }
-        cb
+        let pairs = (degree * (degree - 1) / 2) as u64;
+        cb_of_histogram(pairs - self.map.len() as u64, &self.by_count)
     }
 
     // ----- mutation helpers used by the dynamic-maintenance crate -----
 
     /// Inserts or overwrites the raw value for a pair (dynamic updates
     /// rewrite entries when edges appear/disappear inside an ego network).
+    /// Returns the previous value.
     #[inline]
-    pub fn set_raw(&mut self, i: VertexId, j: VertexId, val: u32) {
-        self.map.insert(pack_pair(i, j), val);
+    pub fn set_raw(&mut self, i: VertexId, j: VertexId, val: u32) -> Option<u32> {
+        let prev = self.map.insert(pack_pair(i, j), val);
+        retally(&mut self.by_count, prev, Some(val));
+        prev
     }
 
     /// Removes a pair entirely (e.g. when a neighbor leaves the ego
     /// network). Returns the previous value.
     #[inline]
     pub fn remove(&mut self, i: VertexId, j: VertexId) -> Option<u32> {
-        self.map.remove(&pack_pair(i, j))
+        let prev = self.map.remove(&pack_pair(i, j));
+        retally(&mut self.by_count, prev, None);
+        prev
     }
 
     /// Decrements the connector count of a non-adjacent pair, removing the
@@ -138,17 +142,16 @@ impl PairMap {
     /// it is an edge entry.
     #[inline]
     pub fn remove_connector(&mut self, i: VertexId, j: VertexId) -> u32 {
-        let key = pack_pair(i, j);
-        let slot = self
-            .map
-            .get_mut(&key)
-            .expect("remove_connector on missing entry");
-        debug_assert!(*slot > 0, "remove_connector on an edge entry");
-        *slot -= 1;
-        let now = *slot;
+        let Entry::Occupied(mut e) = self.map.entry(pack_pair(i, j)) else {
+            panic!("remove_connector on missing entry");
+        };
+        debug_assert!(*e.get() > 0, "remove_connector on an edge entry");
+        *e.get_mut() -= 1;
+        let now = *e.get();
         if now == 0 {
-            self.map.remove(&key);
+            e.remove();
         }
+        retally(&mut self.by_count, Some(now + 1), (now > 0).then_some(now));
         now
     }
 }
@@ -179,33 +182,15 @@ impl SMapStore {
         &mut self.maps[u as usize]
     }
 
-    /// Number of vertices covered.
-    pub fn n(&self) -> usize {
-        self.maps.len()
-    }
-
     /// Extends the store with one empty map (vertex insertion).
     pub fn push_vertex(&mut self) {
         self.maps.push(PairMap::default());
-    }
-
-    /// Total entries across all maps — the live memory of Theorem 2's
-    /// `O(Σ d(u)²)` bound.
-    pub fn total_entries(&self) -> usize {
-        self.maps.iter().map(PairMap::len).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn contributions() {
-        assert_eq!(entry_contribution(0), 0.0);
-        assert_eq!(entry_contribution(1), 0.5);
-        assert_eq!(entry_contribution(2), 1.0 / 3.0);
-    }
 
     #[test]
     fn cb_formula_matches_hand_computation() {
@@ -216,44 +201,52 @@ mod tests {
         m.add_connector(3, 4);
         m.add_connector(3, 4);
         m.add_connector(5, 6);
-        let cb = m.cb_given_degree_det(4);
-        let expect = 3.0 + 0.0 + 1.0 / 3.0 + 0.5;
-        assert!((cb - expect).abs() < 1e-12, "cb = {cb}");
+        assert_eq!(m.cb(4), cb_of_histogram(3, &[1, 1]));
+        assert_eq!(m.cb(4), 3.0 + 0.5 + 1.0 / 3.0);
+        assert_eq!(m.cb(1).to_bits(), 0.0f64.to_bits(), "+0.0 below degree 2");
     }
 
     #[test]
     fn bound_tightens_monotonically() {
         let mut m = PairMap::default();
         let d = 5;
-        let mut prev = m.cb_given_degree_det(d);
+        let mut prev = m.cb(d);
         m.add_connector(0, 1);
-        let b1 = m.cb_given_degree_det(d);
+        let b1 = m.cb(d);
         assert!(b1 < prev);
         prev = b1;
         m.add_connector(0, 1);
-        let b2 = m.cb_given_degree_det(d);
+        let b2 = m.cb(d);
         assert!(b2 < prev);
         prev = b2;
         m.set_edge(2, 3);
-        assert!(m.cb_given_degree_det(d) < prev);
+        assert!(m.cb(d) < prev);
     }
 
     #[test]
     fn det_variant_agrees_and_is_order_independent() {
-        // Two maps with identical content built in opposite orders.
+        // Two maps with identical content, one built in the opposite order
+        // through every mutation (overwrites, removals, decrements), score
+        // bit for bit alike: the tallies follow the content.
         let mut a = PairMap::default();
         let mut b = PairMap::default();
         let pairs: [(VertexId, VertexId); 4] = [(0, 1), (2, 3), (4, 5), (6, 7)];
         for &(i, j) in &pairs {
             a.add_connector(i, j);
         }
+        b.set_raw(8, 9, 5);
         for &(i, j) in pairs.iter().rev() {
             b.add_connector(i, j);
+            b.add_connector(i, j);
+            assert_eq!(b.remove_connector(i, j), 1);
         }
+        b.set_raw(2, 4, 3);
+        assert_eq!(b.remove(2, 4), Some(3));
         a.set_edge(8, 9);
-        b.set_edge(8, 9);
-        let (da, db) = (a.cb_given_degree_det(6), b.cb_given_degree_det(6));
-        assert_eq!(da, db, "bit-identical across construction orders");
+        assert_eq!(b.set_raw(8, 9, 0), Some(5));
+        assert_eq!(b.by_count, [4], "no trailing empty buckets");
+        let (da, db) = (a.cb(6), b.cb(6));
+        assert_eq!(da.to_bits(), db.to_bits());
         // Four one-connector pairs, one edge pair, ten absent pairs.
         assert_eq!(da, 15.0 - 4.0 * 0.5 - 1.0);
     }
@@ -267,15 +260,7 @@ mod tests {
         assert_eq!(m.remove_connector(9, 7), 1);
         assert_eq!(m.remove_connector(7, 9), 0);
         assert_eq!(m.get(7, 9), None, "entry vanishes at zero");
-    }
-
-    #[test]
-    fn store_totals() {
-        let mut s = SMapStore::new(3);
-        s.map_mut(0).set_edge(1, 2);
-        s.map_mut(2).add_connector(0, 1);
-        assert_eq!(s.total_entries(), 2);
-        assert_eq!(s.map(1).len(), 0);
+        assert!(m.is_empty() && m.by_count.is_empty());
     }
 
     #[test]

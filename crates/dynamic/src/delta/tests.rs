@@ -1,26 +1,31 @@
 use crate::{replay_graph, EdgeOp, LocalIndex};
-use conformance::{approx_eq, check_topk, REL_TOL};
 use egobtw_core::compute_all;
 use egobtw_core::naive::ego_betweenness_of;
+use egobtw_core::registry::topk_from_scores;
 use egobtw_gen::{classic, gnp, toy};
 use egobtw_graph::{CsrGraph, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Every maintained score and the certified top-k against `compute_all`
-/// on the index's current graph.
+/// Every maintained score bit for bit against `compute_all` on the
+/// index's current graph, and the certified top-k against a full sort of
+/// those scores (equal ids, so equal bits too).
 fn assert_exact(idx: &LocalIndex) {
     let (truth, _) = compute_all(&idx.graph().to_csr());
     for (v, &want) in truth.iter().enumerate() {
         let got = idx.cb(v as VertexId);
-        assert!(
-            approx_eq(got, want, REL_TOL),
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
             "CB({v}) = {got} vs compute_all {want}"
         );
     }
-    if let Err(why) = check_topk(&truth, &idx.top_k(), idx.k(), REL_TOL) {
-        panic!("k={}: {why}", idx.k());
-    }
+    assert_eq!(
+        idx.top_k(),
+        topk_from_scores(&truth, idx.k()),
+        "k={}",
+        idx.k()
+    );
 }
 
 /// One seeded blind op over `n` vertices: self-loops, duplicate inserts and
@@ -45,8 +50,9 @@ fn initial_values_match_naive_and_local() {
     let idx = LocalIndex::new(&g, 5);
     for v in 0..g.n() as VertexId {
         let expect = ego_betweenness_of(&g, v);
-        assert!(
-            (idx.cb(v) - expect).abs() < 1e-9,
+        assert_eq!(
+            idx.cb(v).to_bits(),
+            expect.to_bits(),
             "CB({v}) vs naive {expect}"
         );
     }
@@ -96,16 +102,9 @@ fn insert_then_delete_is_identity() {
     let mut idx = LocalIndex::new(&g, 3);
     assert!(idx.apply(EdgeOp::Insert(0, 9)));
     assert!(idx.apply(EdgeOp::Delete(0, 9)));
-    for v in 0..g.n() as VertexId {
-        assert!(
-            (idx.cb(v) - before.cb(v)).abs() < 1e-9,
-            "vertex {v} not restored"
-        );
-    }
-    let scores = |i: &LocalIndex| i.top_k().iter().map(|e| e.1).collect::<Vec<_>>();
-    for (a, b) in scores(&idx).iter().zip(scores(&before)) {
-        assert!((a - b).abs() < 1e-9, "top-k not restored: {a} vs {b}");
-    }
+    let bits = |i: &LocalIndex| i.all_cb().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&idx), bits(&before), "scores not restored");
+    assert_eq!(idx.top_k(), before.top_k(), "top-k not restored");
     idx.validate();
     assert_exact(&idx);
 }
@@ -148,8 +147,8 @@ fn randomized_stream_stays_exact_and_certified() {
 fn stream_against_local_index_bitwise() {
     // The daemon recovers a `delta:K` dataset by building a fresh index on
     // a checkpointed graph and replaying the rest of the log. That index
-    // and one that ran the whole stream agree to the repo-wide 1e-9, and
-    // the streamed one ends bit-identical to a one-shot `replay`.
+    // and one that ran the whole stream agree bit for bit after every op,
+    // and the streamed one ends bit-identical to a one-shot `replay`.
     let mut rng = StdRng::seed_from_u64(5);
     let g0 = gnp(40, 0.15, 8);
     let ops: Vec<EdgeOp> = (0..200).map(|_| random_op(40, &mut rng)).collect();
@@ -162,13 +161,15 @@ fn stream_against_local_index_bitwise() {
     for &op in tail {
         assert_eq!(streamed.apply(op), recovered.apply(op));
         for w in 0..40u32 {
-            assert!(
-                (streamed.cb(w) - recovered.cb(w)).abs() < 1e-9,
+            assert_eq!(
+                streamed.cb(w).to_bits(),
+                recovered.cb(w).to_bits(),
                 "indices disagree at {w}: {} vs {}",
                 streamed.cb(w),
                 recovered.cb(w)
             );
         }
+        assert_eq!(streamed.top_k(), recovered.top_k());
     }
     assert_exact(&recovered);
     let replayed = LocalIndex::replay(&g0, 6, &ops);

@@ -565,11 +565,13 @@ mod tests {
                 lazy.insert_edge(u, v);
                 local.insert_edge(u, v);
             }
-            let lv: Vec<f64> = lazy.top_k().iter().map(|e| e.1).collect();
-            let tv: Vec<f64> = local.top_k().iter().map(|e| e.1).collect();
-            for (a, b) in lv.iter().zip(&tv) {
-                assert!((a - b).abs() < 1e-9, "maintainers disagree: {a} vs {b}");
-            }
+            let bits =
+                |top: Vec<(VertexId, f64)>| top.iter().map(|e| e.1.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(lazy.top_k()),
+                bits(local.top_k()),
+                "maintainers disagree"
+            );
         }
     }
 }

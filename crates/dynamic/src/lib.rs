@@ -6,7 +6,9 @@
 //!   4–5): keeps the complete per-vertex maps `S_u` plus every `CB`, and
 //!   applies exact delta updates. Observation 1 bounds the blast radius of
 //!   an edge flip `(u,v)` to `{u, v} ∪ (N(u) ∩ N(v))`; Lemmas 4–7 give the
-//!   per-pair deltas. Those touched egos also feed a lazily re-certified
+//!   per-pair patches, and each touched ego is rescored from its map's
+//!   connector tallies with the kernel's summation, bit for bit a static
+//!   recomputation. Those touched egos also feed a lazily re-certified
 //!   top-k set, so reading the answer costs `O(k log k)`, not a full sort.
 //!   Memory `O(Σ d(u)²)`, update cost local.
 //! * [`lazy::LazyTopK`] — **LazyInsert / LazyDelete** (Algorithm 6): keeps
@@ -18,7 +20,7 @@
 //!   the per-ego kernel.
 //!
 //! Both are verified against from-scratch recomputation after every
-//! update in the property-test suites.
+//! update in the property-test suites (`LocalIndex` bit for bit).
 //!
 //! [`stream`] gives updates a first-class data form ([`EdgeOp`]) with
 //! replay constructors on both maintainers, so the conformance harness

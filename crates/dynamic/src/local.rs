@@ -8,33 +8,39 @@
 //! * `(x,y) ∉ E` with `c > 0` connectors inside `N(w)` ⟺ `S_w(x,y) = c`;
 //! * `(x,y) ∉ E` with no connectors ⟺ no entry.
 //!
-//! Every mutation flows through contribution-tracked helpers, so
-//! `CB[w] = Σ contributions` is maintained as a running total — the
-//! Lemma 4–7 deltas fall out automatically instead of being transcribed
-//! case by case (the transcription in the paper's own Example 6 has two
-//! sign errors; see the errata in `egobtw_gen::toy`).
+//! An update patches only the map entries Lemmas 4–7 name, and each map
+//! tallies its entries by connector count as it changes. Every ego the
+//! update touches (`{u, v} ∪ (N(u) ∩ N(v))`, Observation 1) is then
+//! rescored from its tallies ([`egobtw_core::smap::PairMap::cb`]) with
+//! `EgoKernel`'s own summation, so every maintained score is
+//! bit-identical to a static recomputation on the same graph, and no
+//! float error accumulates over a stream. No score delta is transcribed
+//! from the paper, whose own Example 6 has two sign errors (see the
+//! errata in `egobtw_gen::toy`).
 //!
 //! On top of the exact scores the index keeps the top-`k` *set*. Every
-//! ego an update touches (`{u, v} ∪ (N(u) ∩ N(v))`, Observation 1) gets a
-//! fresh entry in one of two lazy heaps: a max-heap of candidate outsiders
-//! or a min-heap of members. Re-certification discards stale entries
-//! (value no longer current, or vertex on the other side) on pop and
-//! swaps members out only while the best live outsider strictly beats the
-//! weakest live member, so each swap costs `O(log n)`. A heap is rebuilt
-//! from its live side once it holds more than twice that side plus 64
-//! entries. Reading the answer ([`LocalIndex::top_k`]) is then an
-//! `O(k log k)` sort of the members.
+//! touched ego gets a fresh entry in one of two lazy heaps: a max-heap of
+//! candidate outsiders or a min-heap of members. Re-certification
+//! discards stale entries (value no longer current, or vertex on the
+//! other side) on pop and swaps members out only while the best live
+//! outsider outranks the weakest live member in the repo-wide order
+//! (`CB` descending by `total_cmp`, ties toward the smaller id). So each
+//! swap costs `O(log n)`, and membership depends on the scores alone,
+//! never on update history. A heap is rebuilt from its live side once it
+//! holds more than twice that side plus 64 entries. Reading the answer
+//! ([`LocalIndex::top_k`]) is then an `O(k log k)` sort of the members.
 //!
 //! Invariants (checked exhaustively by [`LocalIndex::validate`]):
 //!
 //! * **map/CB**: the map invariant above holds for every ego, and `CB[w]`
-//!   equals the sum of its pair contributions;
-//! * **boundary**: no non-member's `CB` strictly exceeds the weakest
-//!   member's (`total_cmp`), and `|top| = min(k, n)`;
+//!   is bit-identical to `EgoKernel`'s score of `w`;
+//! * **boundary**: no non-member outranks the weakest member, and
+//!   `|top| = min(k, n)`;
 //! * **heap coverage**: every vertex whose `CB` changed since its last
 //!   heap entry has a fresh entry on its side — guaranteed because every
 //!   touched ego is re-queued before re-certification.
 
+use egobtw_core::ego_kernel::EgoKernel;
 use egobtw_core::smap::SMapStore;
 use egobtw_core::topk::OrdF64;
 use egobtw_graph::{CsrGraph, DynGraph, VertexId};
@@ -44,24 +50,21 @@ use std::collections::BinaryHeap;
 /// `top_pos` of an outsider.
 const OUTSIDER: u32 = u32::MAX;
 
-/// A member-heap entry: the max-heap pops the smallest `CB` first and, on
-/// ties, the larger id — the member to evict under the repo-wide tie
-/// convention (smaller ids stay).
-type MemberKey = Reverse<(OrdF64, Reverse<VertexId>)>;
+/// A vertex's rank under the repo-wide order: larger `CB` (`total_cmp`)
+/// first and, on ties, the smaller id. The candidate max-heap pops the
+/// best outsider first.
+type RankKey = (OrdF64, Reverse<VertexId>);
 
-fn member_key(val: f64, v: VertexId) -> MemberKey {
-    Reverse((OrdF64(val), Reverse(v)))
+fn rank_key(val: f64, v: VertexId) -> RankKey {
+    (OrdF64(val), Reverse(v))
 }
 
-/// Contribution of a pair to its ego's `CB`, given the stored value
-/// (`None` = non-adjacent, zero connectors).
-#[inline]
-fn contrib(val: Option<u32>) -> f64 {
-    match val {
-        None => 1.0,
-        Some(0) => 0.0,
-        Some(c) => 1.0 / (f64::from(c) + 1.0),
-    }
+/// A member-heap entry: the max-heap pops the worst-ranked member first,
+/// the one to evict.
+type MemberKey = Reverse<RankKey>;
+
+fn member_key(val: f64, v: VertexId) -> MemberKey {
+    Reverse(rank_key(val, v))
 }
 
 /// Deliberate defect classes planted inside the update path, for
@@ -105,9 +108,10 @@ pub struct LocalIndex {
     top_pos: Vec<u32>,
     /// Current top-k members, unordered (sorted only on read-out).
     top: Vec<VertexId>,
-    /// Lazy max-heap over outsiders: entries `(cb-at-push, v)`; an entry
-    /// is live iff `v` is an outsider and the value still matches `cb[v]`.
-    cand: BinaryHeap<(OrdF64, VertexId)>,
+    /// Lazy max-heap over outsiders: entries `rank_key(cb-at-push, v)`;
+    /// an entry is live iff `v` is an outsider and the value still matches
+    /// `cb[v]` bit for bit.
+    cand: BinaryHeap<RankKey>,
     /// Lazy min-heap over members, live like `cand` with the sides
     /// swapped; its live top is the weakest member.
     members: BinaryHeap<MemberKey>,
@@ -118,7 +122,8 @@ pub struct LocalIndex {
 impl LocalIndex {
     /// Builds the index from a static graph: one shared edge-centric pass
     /// (`build_store`, routed through the hybrid intersection kernels) to
-    /// populate the maps, then the top-`k` set is read off directly.
+    /// populate the maps, then the `k` best-ranked vertices are popped off
+    /// the candidate heap.
     pub fn new(g: &CsrGraph, k: usize) -> Self {
         Self::build(g, k, None)
     }
@@ -130,41 +135,40 @@ impl LocalIndex {
 
     fn build(g: &CsrGraph, k: usize, fault: Option<LocalFault>) -> Self {
         let store = egobtw_core::compute_all::build_store(g);
-        // Deterministic finalize: the starting values do not depend on the
-        // maps' hash order. They equal `compute_all`'s kernel scores (and
-        // so a fresh `LazyTopK`'s) up to float summation order.
-        let cb: Vec<f64> = (0..g.n() as VertexId)
-            .map(|v| store.map(v).cb_given_degree_det(g.degree(v)))
-            .collect();
+        // The kernel's summation over each map's tallies: `compute_all`'s
+        // scores, bit for bit.
         let n = g.n();
-        let mut order: Vec<VertexId> = (0..n as VertexId).collect();
-        order.sort_by(|&a, &b| cb[b as usize].total_cmp(&cb[a as usize]).then(a.cmp(&b)));
-        let top: Vec<VertexId> = order.iter().copied().take(k).collect();
-        let mut top_pos = vec![OUTSIDER; n];
-        for (i, &v) in top.iter().enumerate() {
-            top_pos[v as usize] = i as u32;
-        }
-        let members = top.iter().map(|&v| member_key(cb[v as usize], v)).collect();
-        let mut cand = BinaryHeap::with_capacity(n.saturating_sub(k));
-        if k > 0 {
-            for v in 0..n as VertexId {
-                if top_pos[v as usize] == OUTSIDER {
-                    cand.push((OrdF64(cb[v as usize]), v));
-                }
-            }
-        }
-        LocalIndex {
+        let cb: Vec<f64> = (0..n as VertexId)
+            .map(|v| store.map(v).cb(g.degree(v)))
+            .collect();
+        let cand = if k > 0 {
+            (0..n as VertexId)
+                .map(|v| rank_key(cb[v as usize], v))
+                .collect()
+        } else {
+            BinaryHeap::new()
+        };
+        let mut idx = LocalIndex {
             g: DynGraph::from_csr(g),
             store,
             cb,
             k,
-            top_pos,
-            top,
+            top_pos: vec![OUTSIDER; n],
+            top: Vec::with_capacity(k.min(n)),
             cand,
-            members,
+            members: BinaryHeap::new(),
             scratch: Scratch::default(),
             fault,
+        };
+        // Every entry is live, so the pops come in rank order. Afterwards
+        // `top` is full whenever `n ≥ k`; `add_vertex` keeps it so.
+        while idx.top.len() < k {
+            let Some((_, Reverse(v))) = idx.cand.pop() else {
+                break;
+            };
+            idx.promote(v);
         }
+        idx
     }
 
     /// Current graph.
@@ -213,80 +217,26 @@ impl LocalIndex {
         v
     }
 
-    // ---- contribution-tracked map mutations ----
+    // ---- map mutations a planted fault can make stale ----
 
+    /// One more connector for the non-adjacent pair `(x,y)` of ego `w`.
     #[inline]
     fn add_connector(&mut self, w: VertexId, x: VertexId, y: VertexId) {
         let m = self.store.map_mut(w);
-        let old = m.get(x, y);
-        if self.fault.is_some() && old == Some(0) {
+        if self.fault.is_some() && m.get(x, y) == Some(0) {
             return; // a planted fault's stale edge entry
         }
-        debug_assert_ne!(old, Some(0), "connector added to an edge pair");
-        let new = m.add_connector(x, y);
-        self.cb[w as usize] += contrib(Some(new)) - contrib(old);
+        m.add_connector(x, y);
     }
 
+    /// One connector fewer for the non-adjacent pair `(x,y)` of ego `w`.
     #[inline]
     fn remove_connector(&mut self, w: VertexId, x: VertexId, y: VertexId) {
         let m = self.store.map_mut(w);
-        let old = m.get(x, y);
-        if self.fault.is_some() && !matches!(old, Some(c) if c > 0) {
+        if self.fault.is_some() && !matches!(m.get(x, y), Some(c) if c > 0) {
             return; // a planted fault's missing entry
         }
-        debug_assert!(matches!(old, Some(c) if c > 0), "removing absent connector");
-        let new = m.remove_connector(x, y);
-        let new_opt = if new == 0 { None } else { Some(new) };
-        self.cb[w as usize] += contrib(new_opt) - contrib(old);
-    }
-
-    /// Pair `(x,y)` inside `N(w)` turns into an edge (insertion of `(x,y)`
-    /// observed from common neighbor `w`).
-    #[inline]
-    fn pair_becomes_edge(&mut self, w: VertexId, x: VertexId, y: VertexId) {
-        let m = self.store.map_mut(w);
-        let old = m.get(x, y);
-        m.set_raw(x, y, 0);
-        self.cb[w as usize] -= contrib(old);
-    }
-
-    /// Pair `(x,y)` inside `N(w)` stops being an edge; it now has
-    /// `connectors` connectors.
-    #[inline]
-    fn pair_stops_being_edge(&mut self, w: VertexId, x: VertexId, y: VertexId, connectors: u32) {
-        let m = self.store.map_mut(w);
-        debug_assert!(
-            self.fault.is_some() || m.get(x, y) == Some(0),
-            "pair was not an edge"
-        );
-        if connectors == 0 {
-            m.remove(x, y);
-        } else {
-            m.set_raw(x, y, connectors);
-        }
-        let new_opt = if connectors == 0 {
-            None
-        } else {
-            Some(connectors)
-        };
-        self.cb[w as usize] += contrib(new_opt);
-    }
-
-    /// A brand-new pair `(x,y)` appears in `N(w)` (a neighbor arrived).
-    /// `val`: `Some(0)` edge, `Some(c)` c connectors, `None` isolated pair.
-    #[inline]
-    fn pair_appears(&mut self, w: VertexId, x: VertexId, y: VertexId, val: Option<u32>) {
-        if let Some(v) = val {
-            self.store.map_mut(w).set_raw(x, y, v);
-        }
-        self.cb[w as usize] += contrib(val);
-    }
-
-    /// Pair `(x,y)` disappears from `N(w)` (a neighbor left).
-    #[inline]
-    fn pair_disappears(&mut self, w: VertexId, x: VertexId, y: VertexId) {
-        let old = self.store.map_mut(w).remove(x, y);
-        self.cb[w as usize] -= contrib(old);
+        m.remove_connector(x, y);
     }
 
     /// How many of the common-neighbor egos the Lemma 5/7 loops visit (the
@@ -315,7 +265,7 @@ impl LocalIndex {
         // --- common neighbors w ∈ L (Lemma 5) ---
         for &w in &common[..self.upto(&common)] {
             // (u,v) becomes an edge inside GE(w).
-            self.pair_becomes_edge(w, u, v);
+            self.store.map_mut(w).set_raw(u, v, 0);
             // v is a new connector for pairs (u,x), x ∈ N(w) ∩ N(v).
             let mut xs = std::mem::take(&mut self.scratch.xs);
             self.g.common_neighbors_into(w, v, &mut xs);
@@ -347,17 +297,12 @@ impl LocalIndex {
     /// Endpoint `u` gains neighbor `nv`; `common = N(u) ∩ N(nv)` in the old
     /// graph.
     fn endpoint_gains_neighbor(&mut self, u: VertexId, nv: VertexId, common: &[VertexId]) {
-        // New pairs (nv, x) for every old neighbor x.
-        let mut old_nbrs = std::mem::take(&mut self.scratch.nbrs);
-        self.g.sorted_neighbors_into(u, &mut old_nbrs);
-        for &x in &old_nbrs {
-            if common.binary_search(&x).is_ok() {
-                self.pair_appears(u, nv, x, Some(0)); // (nv,x) ∈ E
-            } else {
-                self.pair_appears(u, nv, x, None); // connectors added below
-            }
+        // New pairs (nv, x) for every old neighbor x: an edge entry for
+        // x ∈ L; the rest start absent and gain connectors below.
+        let m = self.store.map_mut(u);
+        for &x in common {
+            m.set_raw(nv, x, 0);
         }
-        self.scratch.nbrs = old_nbrs;
         // Connectors for the new pairs come exactly from L: p ∈ L is
         // adjacent to nv; it connects (nv, x) for x ∈ N(u) ∩ N(p), x ∉ L.
         for &p in common {
@@ -400,7 +345,16 @@ impl LocalIndex {
                 .iter()
                 .filter(|&&x| x != w && self.g.has_edge(x, w))
                 .count() as u32;
-            self.pair_stops_being_edge(w, u, v, c);
+            let m = self.store.map_mut(w);
+            let was = if c == 0 {
+                m.remove(u, v)
+            } else {
+                m.set_raw(u, v, c)
+            };
+            debug_assert!(
+                self.fault.is_some() || was == Some(0),
+                "pair was not an edge"
+            );
             if skip_pair_terms {
                 continue;
             }
@@ -436,9 +390,10 @@ impl LocalIndex {
     fn endpoint_loses_neighbor(&mut self, u: VertexId, nv: VertexId, common: &[VertexId]) {
         let mut nbrs = std::mem::take(&mut self.scratch.nbrs);
         self.g.sorted_neighbors_into(u, &mut nbrs);
+        let m = self.store.map_mut(u);
         for &x in &nbrs {
             if x != nv {
-                self.pair_disappears(u, nv, x);
+                m.remove(nv, x);
             }
         }
         self.scratch.nbrs = nbrs;
@@ -453,12 +408,12 @@ impl LocalIndex {
 
     // ---- lazy top-k re-certification ----
 
-    /// Re-queues the egos a flip of `(u,v)` touched (Observation 1), then
-    /// restores the boundary invariant.
+    /// Rescores and re-queues the egos a flip of `(u,v)` touched
+    /// (Observation 1) on the new graph, then restores the boundary
+    /// invariant.
     fn recertify_touched(&mut self, u: VertexId, v: VertexId, common: &[VertexId]) {
-        self.requeue(u);
-        self.requeue(v);
-        for &w in common {
+        for &w in [u, v].iter().chain(common) {
+            self.cb[w as usize] = self.store.map(w).cb(self.g.degree(w));
             self.requeue(w);
         }
         self.compact();
@@ -471,7 +426,7 @@ impl LocalIndex {
         if self.is_member(v) {
             self.members.push(member_key(val, v));
         } else if self.k > 0 {
-            self.cand.push((OrdF64(val), v));
+            self.cand.push(rank_key(val, v));
         }
     }
 
@@ -490,7 +445,7 @@ impl LocalIndex {
         if self.cand.len() > 2 * n + 64 {
             self.cand = (0..n as VertexId)
                 .filter(|&v| !self.is_member(v))
-                .map(|v| (OrdF64(self.cb[v as usize]), v))
+                .map(|v| rank_key(self.cb[v as usize], v))
                 .collect();
         }
         if self.members.len() > 2 * self.top.len() + 64 {
@@ -517,14 +472,14 @@ impl LocalIndex {
             self.top_pos[moved as usize] = i as u32;
         }
         self.top_pos[v as usize] = OUTSIDER;
-        self.cand.push((OrdF64(self.cb[v as usize]), v));
+        self.cand.push(rank_key(self.cb[v as usize], v));
     }
 
     /// Discards dead outsider entries until the top one is live, and
     /// returns it without popping.
     fn peek_live_best(&mut self) -> Option<(f64, VertexId)> {
-        while let Some(&(OrdF64(val), v)) = self.cand.peek() {
-            if self.is_member(v) || val != self.cb[v as usize] {
+        while let Some(&(OrdF64(val), Reverse(v))) = self.cand.peek() {
+            if self.is_member(v) || val.to_bits() != self.cb[v as usize].to_bits() {
                 self.cand.pop();
             } else {
                 return Some((val, v));
@@ -537,7 +492,7 @@ impl LocalIndex {
     /// returns the weakest member without popping.
     fn peek_live_weakest(&mut self) -> Option<(f64, VertexId)> {
         while let Some(&Reverse((OrdF64(val), Reverse(v)))) = self.members.peek() {
-            if !self.is_member(v) || val != self.cb[v as usize] {
+            if !self.is_member(v) || val.to_bits() != self.cb[v as usize].to_bits() {
                 self.members.pop();
             } else {
                 return Some((val, v));
@@ -546,22 +501,15 @@ impl LocalIndex {
         None
     }
 
-    /// Restores the boundary invariant: fill to capacity, then swap while
-    /// the best live outsider strictly beats the weakest member.
+    /// Restores the boundary invariant: swap while the best live outsider
+    /// outranks the weakest member.
     fn recertify(&mut self) {
         if self.fault == Some(LocalFault::SkipRecertify) {
             return;
         }
-        while self.top.len() < self.k {
-            let Some((_, v)) = self.peek_live_best() else {
-                break;
-            };
-            self.cand.pop();
-            self.promote(v);
-        }
         while let Some((bval, bv)) = self.peek_live_best() {
             match self.peek_live_weakest() {
-                Some((wval, wv)) if bval > wval => {
+                Some((wval, wv)) if rank_key(bval, bv) > rank_key(wval, wv) => {
                     self.cand.pop();
                     self.members.pop();
                     self.demote(wv);
@@ -572,14 +520,14 @@ impl LocalIndex {
         }
     }
 
-    /// Exhaustively re-derives every map entry and `CB` from the current
-    /// graph and asserts they match the maintained state, then checks the
-    /// top-k boundary invariant. Test helper — O(n · d³); call only on
-    /// small graphs.
+    /// Exhaustively re-derives every map entry from the current graph and
+    /// asserts the maintained state matches it, with every `CB` bit for bit
+    /// `EgoKernel`'s score, then checks the top-k boundary invariant. Test
+    /// helper — O(n · d³); call only on small graphs.
     pub fn validate(&self) {
+        let mut kernel = EgoKernel::new();
         for w in 0..self.g.n() as VertexId {
             let nbrs = self.g.sorted_neighbors(w);
-            let mut expect_cb = 0.0;
             let mut entries = 0usize;
             for (i, &x) in nbrs.iter().enumerate() {
                 for &y in nbrs.iter().skip(i + 1) {
@@ -601,7 +549,6 @@ impl LocalIndex {
                         assert_eq!(stored, Some(c), "S_{w}({x},{y}) connector count");
                         entries += 1;
                     }
-                    expect_cb += contrib(if c == 0 { None } else { Some(c) });
                 }
             }
             assert_eq!(
@@ -609,9 +556,11 @@ impl LocalIndex {
                 entries,
                 "S_{w} holds exactly the live pairs"
             );
-            assert!(
-                (self.cb[w as usize] - expect_cb).abs() < 1e-9,
-                "CB({w}) drifted: {} vs {expect_cb}",
+            let want = kernel.score(&self.g, w);
+            assert_eq!(
+                self.cb[w as usize].to_bits(),
+                want.to_bits(),
+                "CB({w}) = {} but the kernel scores {want}",
                 self.cb[w as usize]
             );
         }
@@ -625,19 +574,16 @@ impl LocalIndex {
             self.top.len(),
             "only members have a position"
         );
-        let weakest = self.top.iter().min_by(|&&a, &&b| {
-            self.cb[a as usize]
-                .total_cmp(&self.cb[b as usize])
-                .then(b.cmp(&a))
-        });
-        if let Some(&wv) = weakest {
-            let min_top = self.cb[wv as usize];
+        let rank = |v: VertexId| rank_key(self.cb[v as usize], v);
+        if let Some(weakest) = self.top.iter().map(|&v| rank(v)).min() {
             for v in 0..self.g.n() as VertexId {
                 if !self.is_member(v) {
                     assert!(
-                        self.cb[v as usize] <= min_top,
-                        "outsider {v} ({}) beats weakest member {wv} ({min_top})",
-                        self.cb[v as usize]
+                        rank(v) < weakest,
+                        "outsider {v} ({}) outranks weakest member {} ({})",
+                        self.cb[v as usize],
+                        weakest.1 .0,
+                        weakest.0 .0
                     );
                 }
             }
@@ -648,41 +594,39 @@ impl LocalIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use egobtw_core::naive::ego_betweenness_of;
+    use egobtw_core::naive::{compute_all_naive, ego_betweenness_of};
+    use egobtw_core::registry::topk_from_scores;
     use egobtw_gen::{classic, gnp, toy};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// Every maintained score is the kernel's, bit for bit.
     fn assert_matches_naive(idx: &LocalIndex) {
         let g = idx.graph();
         for v in 0..g.n() as VertexId {
             let expect = ego_betweenness_of(g, v);
-            assert!(
-                (idx.cb(v) - expect).abs() < 1e-9,
+            assert_eq!(
+                idx.cb(v).to_bits(),
+                expect.to_bits(),
                 "CB({v}) = {} expected {expect}",
                 idx.cb(v)
             );
         }
     }
 
-    /// The maintained top-k value multiset must equal the true one.
+    /// The maintained top-k is the one a full sort of the true scores
+    /// gives, ties toward the smaller id.
     fn assert_topk_correct(idx: &LocalIndex) {
         let g = idx.graph();
-        let mut truth: Vec<f64> = (0..g.n() as VertexId)
+        let truth: Vec<f64> = (0..g.n() as VertexId)
             .map(|v| ego_betweenness_of(g, v))
             .collect();
-        truth.sort_by(|a, b| b.total_cmp(a));
-        let got = idx.top_k();
-        assert_eq!(got.len(), idx.k().min(g.n()));
-        for (rank, &(v, cb)) in got.iter().enumerate() {
-            let direct = ego_betweenness_of(g, v);
-            assert!((cb - direct).abs() < 1e-9, "reported value for {v} stale");
-            assert!(
-                (cb - truth[rank]).abs() < 1e-9,
-                "rank {rank}: {cb} vs oracle {}",
-                truth[rank]
-            );
-        }
+        assert_eq!(
+            idx.top_k(),
+            topk_from_scores(&truth, idx.k()),
+            "k={}",
+            idx.k()
+        );
     }
 
     /// Blind flips over `n` vertices: inserts and deletes of random pairs,
@@ -699,10 +643,27 @@ mod tests {
 
     #[test]
     fn initial_values_match_naive() {
-        let idx = LocalIndex::new(&classic::karate_club(), 5);
-        assert_matches_naive(&idx);
-        assert_topk_correct(&idx);
-        idx.validate();
+        // Bit for bit `compute_all_naive`. In `complete(8)` every ego is a
+        // clique, whose kernel score is an empty sum: its sign of zero
+        // must match too. Isolated and degree-1 vertices score `+0.0`.
+        let mut with_isolated: Vec<(VertexId, VertexId)> = gnp(20, 0.3, 9).edges().collect();
+        with_isolated.push((20, 21));
+        let graphs = [
+            classic::karate_club(),
+            classic::complete(8),
+            classic::star(10),
+            CsrGraph::from_edges(25, &with_isolated),
+            gnp(60, 0.15, 3),
+            egobtw_gen::rmat(9, 4, egobtw_gen::rmat::RmatParams::skewed(), 2),
+        ];
+        for g in &graphs {
+            let idx = LocalIndex::new(g, 5);
+            let want: Vec<u64> = compute_all_naive(g).iter().map(|x| x.to_bits()).collect();
+            let got: Vec<u64> = idx.all_cb().iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "n = {}", g.n());
+            assert_topk_correct(&idx);
+            idx.validate();
+        }
     }
 
     #[test]
@@ -762,8 +723,9 @@ mod tests {
         assert!(idx.insert_edge(3, 9));
         assert!(idx.delete_edge(3, 9));
         for v in 0..g.n() as VertexId {
-            assert!(
-                (idx.cb(v) - before.cb(v)).abs() < 1e-9,
+            assert_eq!(
+                idx.cb(v).to_bits(),
+                before.cb(v).to_bits(),
                 "vertex {v} not restored"
             );
         }
@@ -888,6 +850,18 @@ mod tests {
         // Leaf 5 gains the open pair {0, 7} and beats both tied members:
         // the larger id, 2, leaves.
         idx.insert_edge(5, 7);
+        idx.validate();
+        assert_eq!(ids(&idx), [0, 5, 1]);
+        // Leaves 5 and 6 and vertex 7 now tie at 1 for two seats: among
+        // tied outsiders the smaller id is promoted, so the members are
+        // the ones a fresh index on this graph picks.
+        idx.insert_edge(6, 7);
+        idx.validate();
+        assert_eq!(ids(&idx), [0, 5, 6]);
+        assert_topk_correct(&idx);
+        // Member 6 drops to 0, tied with outsider 1: the smaller id swaps
+        // in.
+        idx.delete_edge(6, 7);
         idx.validate();
         assert_eq!(ids(&idx), [0, 5, 1]);
     }

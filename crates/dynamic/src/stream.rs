@@ -171,9 +171,7 @@ mod tests {
         for ((_, a), (_, b)) in lazy.top_k().iter().zip(&fresh.entries) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
-        for ((_, a), (_, b)) in local.top_k().iter().zip(&fresh.entries) {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-        }
+        assert_eq!(local.top_k(), fresh.entries);
     }
 
     #[test]

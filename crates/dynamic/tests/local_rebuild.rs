@@ -2,18 +2,19 @@
 //!
 //! The contract: after **every prefix** of a seeded `EdgeOp` stream, the
 //! incrementally maintained `LocalIndex` agrees with `compute_all` run
-//! *from scratch* on the replayed graph — per-vertex scores at the
-//! repo-wide relative tolerance, and the maintained top-k judged by the
-//! conformance harness's tie-aware boundary comparator. The truth comes
-//! from the static engine, not from a fresh index, so a bug shared by
-//! the index's own build path (`build_store`, `cb_given_degree_det`)
-//! cannot cancel out. Streams come from the conformance scenario
+//! *from scratch* on the replayed graph — per-vertex scores bit for bit,
+//! and the maintained top-k (ids and bits) equal to a full sort of those
+//! scores with ties toward the smaller id. The truth comes from the
+//! static engine, not from a fresh index, so a bug shared by the index's
+//! own build path (`build_store`, `PairMap::cb`) cannot cancel out.
+//! Streams come from the conformance scenario
 //! generator, so all 8 `gen` families are exercised, and every stream is
 //! extended with a scripted tail covering the delete-reinsert,
 //! duplicate-edge, and self-loop edge cases.
 
-use conformance::{approx_eq, check_topk, scenario, Case, FAMILIES, REL_TOL};
+use conformance::{scenario, Case, FAMILIES};
 use egobtw_core::compute_all;
+use egobtw_core::registry::topk_from_scores;
 use egobtw_dynamic::{EdgeOp, LocalIndex};
 use egobtw_graph::{DynGraph, VertexId};
 
@@ -55,21 +56,22 @@ fn check_case_prefixes(case: &Case) {
         // From-scratch oracle on the replayed prefix.
         let (truth, _) = compute_all(&mirror.to_csr());
         for v in 0..case.n as VertexId {
-            assert!(
-                approx_eq(local.cb(v), truth[v as usize], REL_TOL),
+            assert_eq!(
+                local.cb(v).to_bits(),
+                truth[v as usize].to_bits(),
                 "[{}] op {step} ({op:?}): CB({v}) = {} but rebuild says {}",
                 case.label,
                 local.cb(v),
                 truth[v as usize]
             );
         }
-        // Tie-aware boundary check of the maintained top-k set.
-        if let Err(why) = check_topk(&truth, &local.top_k(), case.k, REL_TOL) {
-            panic!(
-                "[{}] op {step} ({op:?}): top-k violation: {why}",
-                case.label
-            );
-        }
+        // Equal ids carry the bits just checked.
+        assert_eq!(
+            local.top_k(),
+            topk_from_scores(&truth, case.k),
+            "[{}] op {step} ({op:?}): top-k differs from the rebuild's",
+            case.label
+        );
     }
     local.validate();
 }

@@ -1450,10 +1450,10 @@ mod tests {
         let snap = ds.snapshot();
         let maintained = snap.maintained.as_ref().unwrap();
         assert_eq!(maintained.len(), 7);
-        let truth = topk_from_scores(&egobtw_core::compute_all(&g).0, 7);
-        for ((_, a), (_, b)) in maintained.iter().zip(&truth) {
-            assert!((a - b).abs() < 1e-9);
-        }
+        assert_eq!(
+            *maintained,
+            topk_from_scores(&egobtw_core::compute_all(&g).0, 7)
+        );
     }
 
     #[test]
@@ -1463,10 +1463,7 @@ mod tests {
         let check = |snap: &EpochSnapshot| {
             let maintained = snap.maintained.as_ref().expect("delta always publishes");
             let truth = topk_from_scores(&egobtw_core::compute_all(&snap.graph).0, 5);
-            assert_eq!(maintained.len(), truth.len());
-            for ((_, a), (_, b)) in maintained.iter().zip(&truth) {
-                assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-            }
+            assert_eq!(*maintained, truth);
         };
         check(&ds.snapshot());
         // Deletes — the case where lazy defers — still publish exact.

@@ -1,10 +1,11 @@
 //! In-process `Service` API tests: no sockets, structured replies.
 
 use egobtw_core::registry::{builtin_engines, topk_from_scores};
+use egobtw_dynamic::replay_graph;
 use egobtw_gen::classic;
 use egobtw_service::catalog::{Mode, DEFAULT_PUBLISH_K};
 use egobtw_service::service::TopkSource;
-use egobtw_service::{parse_command, Service};
+use egobtw_service::{parse_command, Command, Service};
 
 fn exec(service: &Service, line: &str) -> egobtw_service::Reply {
     service
@@ -21,20 +22,37 @@ fn exec_err(service: &Service, line: &str) -> String {
 
 #[test]
 fn topk_auto_is_maintained_and_matches_truth() {
+    // At every epoch the maintained answer is the one a full sort of
+    // `compute_all`'s scores gives: the same ids and the same bits.
     let service = Service::new();
     let g = classic::karate_club();
     service.load_graph("k", g.clone(), Mode::default()).unwrap();
-    let truth = topk_from_scores(&egobtw_core::compute_all(&g).0, 5);
-    match exec(&service, "TOPK k 5") {
-        egobtw_service::Reply::Topk {
-            source, entries, ..
-        } => {
-            assert_eq!(source, TopkSource::Maintained);
-            for ((_, a), (_, b)) in entries.iter().zip(&truth) {
-                assert!((a - b).abs() < 1e-9);
+    let bits = |t: &[(u32, f64)]| t.iter().map(|&(v, s)| (v, s.to_bits())).collect::<Vec<_>>();
+    let mut ops = Vec::new();
+    for (epoch, batch) in ["", "+4,9 -0,1", "+0,1 +5,33", "-2,3 +16,24"]
+        .iter()
+        .enumerate()
+    {
+        if epoch > 0 {
+            let update = parse_command(&format!("UPDATE k {batch}")).unwrap();
+            if let Command::Update { ops: batch, .. } = &update {
+                ops.extend_from_slice(batch);
             }
+            service.execute(&update).unwrap();
         }
-        other => panic!("unexpected reply {other:?}"),
+        let scores = egobtw_core::compute_all(&replay_graph(&g, &ops).to_csr()).0;
+        match exec(&service, "TOPK k 5") {
+            egobtw_service::Reply::Topk {
+                epoch: at,
+                source,
+                entries,
+                ..
+            } => {
+                assert_eq!((at, source), (epoch as u64, TopkSource::Maintained));
+                assert_eq!(bits(&entries), bits(&topk_from_scores(&scores, 5)));
+            }
+            other => panic!("unexpected reply {other:?}"),
+        }
     }
 }
 
