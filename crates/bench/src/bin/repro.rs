@@ -23,11 +23,13 @@
 
 use egobtw_baseline::{overlap_fraction, top_bw};
 use egobtw_bench::{case_study, ms, print_table, standins, time, Dataset};
+use egobtw_core::ego_kernel::{Evaluator, WEDGE_STEP_COST};
 use egobtw_core::{
-    base_bsearch, compute_all, compute_all_naive, opt_bsearch, topk_from_scores, OptParams,
-    TopkResult,
+    base_bsearch, compute_all, compute_all_naive, opt_bsearch, topk_from_scores, EgoKernel,
+    OptParams, TopkResult,
 };
 use egobtw_dynamic::{replay_graph, EdgeOp, LazyTopK, LocalIndex};
+use egobtw_gen::rmat::RmatParams;
 use egobtw_gen::sample::{edge_sample, vertex_sample};
 use egobtw_graph::intersect::{
     bitmap_bitmap_intersection_count, gallop_intersection_count, intersection_count,
@@ -37,6 +39,7 @@ use egobtw_graph::{CsrGraph, HybridConfig, VertexId};
 use egobtw_parallel::{edge_pebw, vertex_pebw};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Reverse;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -490,6 +493,7 @@ fn ablate(scale: f64) {
         ],
     );
     kernel_ablation();
+    evaluator_ablation(g);
 }
 
 /// Strictly ascending slice of `len` distinct ids from `0..universe`.
@@ -605,4 +609,62 @@ fn kernel_ablation() {
     ]);
     println!("\nhub bitmap kernels, per call:");
     print_table(&["shape", "slice kernel", "ns", "hub kernel", "ns"], &rows);
+}
+
+/// `EgoKernel`'s two evaluators on fixed egos, per ego on rows already
+/// built: their step counts, their times, and the one the kernel picks
+/// with a wedge step priced at `WEDGE_STEP_COST` sweep steps. The
+/// `static-skewed` benchmark graph (before its relabeling) supplies its
+/// top hub and its hub nearest degree 150; `dblp` the dblp-like stand-in
+/// at the run's `--scale`.
+fn evaluator_ablation(dblp: &CsrGraph) {
+    let skewed = egobtw_gen::rmat(11, 3, RmatParams::skewed(), 0xEB02);
+    let ba = egobtw_gen::barabasi_albert(20_000, 5, 1);
+    let top = |g: &CsrGraph| g.vertices().max_by_key(|&v| (g.degree(v), Reverse(v)));
+    let near_150 = skewed
+        .vertices()
+        .min_by_key(|&v| (skewed.degree(v).abs_diff(150), v));
+    let egos = [
+        ("static-skewed top hub", &skewed, top(&skewed)),
+        ("static-skewed hub near d=150", &skewed, near_150),
+        ("BA(20k,5) top hub", &ba, top(&ba)),
+        ("dblp-like top ego", dblp, top(dblp)),
+    ];
+    let mut kernel = EgoKernel::new();
+    let mut rows = Vec::new();
+    for (name, g, p) in egos {
+        let p = p.expect("graph has vertices");
+        kernel.build_rows(g, p);
+        let (sweep, wedge) = kernel.costs();
+        let picks = match kernel.choice() {
+            Evaluator::BitsetSweep => "sweep",
+            Evaluator::WedgeCount => "wedge",
+        };
+        let mut ns = |by| {
+            let t = ns_per_call(|| kernel.evaluate(by).to_bits() as usize);
+            format!("{:.0}", t)
+        };
+        rows.push(vec![
+            name.into(),
+            g.degree(p).to_string(),
+            sweep.to_string(),
+            wedge.to_string(),
+            ns(Evaluator::BitsetSweep),
+            ns(Evaluator::WedgeCount),
+            picks.into(),
+        ]);
+    }
+    println!("\nego evaluators, per ego (picks wedge once {WEDGE_STEP_COST}·wedge < sweep steps):");
+    print_table(
+        &[
+            "ego",
+            "d",
+            "sweep steps",
+            "wedge steps",
+            "sweep (ns)",
+            "wedge (ns)",
+            "picks",
+        ],
+        &rows,
+    );
 }

@@ -11,20 +11,27 @@
 //! with `e = Σ|L_a|/2` edges among the neighbours, two evaluators count
 //! the connectors:
 //!
-//! * **bitset sweep** — rows as `d`-bit sets; each non-adjacent pair costs
-//!   `⌈d/64⌉` word `AND`+popcounts, `(d + d(d−1)/2 − e)·⌈d/64⌉` steps with
-//!   the set-up;
+//! * **bitset sweep** — rows as `d`-bit sets of `W = ⌈d/64⌉` words. Row
+//!   `x`'s complement names the neighbours `y > x` not adjacent to `x`,
+//!   read off its set bits, and each such pair costs `W` word
+//!   `AND`+popcounts: `(d + d(d−1)/2 − e)·W` steps with the complement
+//!   scan. No adjacent pair is visited. The loop is compiled once per
+//!   width `W ∈ 1..=8` (wider rows take a slice loop), and on x86-64 CPUs
+//!   that report POPCNT at run time it runs in a copy compiled with the
+//!   hardware instruction;
 //! * **dense wedge count** — for row `x` and each `a ∈ L_x`, bump a
 //!   `d`-sized counter at every `y ∈ L_a` with `y > x`: `Σ_a C(|L_a|, 2)`
 //!   steps, visiting only pairs that have a connector; pairs without one
 //!   are counted, not visited.
 //!
-//! Both step counts are exact once the rows exist, so each ego takes the
-//! cheaper evaluator with no tuned constant: the sweep wins on small or
-//! dense egos, the wedge count on hubs whose neighbours share little.
-//! Either evaluator tallies pairs by connector count and sums
-//! `hist[c]/(c+1)` in ascending `c` ([`cb_of_histogram`]), so the two
-//! agree bit for bit and the result does not depend on vertex labels.
+//! Both step counts are known once the rows exist. Each ego takes the
+//! cheaper evaluator with a wedge step priced at [`WEDGE_STEP_COST`]
+//! sweep word-steps (a scattered counter bump against a streamed word):
+//! the sweep wins on small or dense egos, the wedge count on hubs whose
+//! neighbours share little. Either evaluator tallies pairs by connector
+//! count and sums `hist[c]/(c+1)` in ascending `c`
+//! ([`cb_of_histogram`]), so the two agree bit for bit and the result
+//! does not depend on vertex labels or on the choice.
 //!
 //! `EgoCompletion` is what OptBSearch keeps between exact computations:
 //! which vertices are complete, and per vertex the number of its ego
@@ -55,10 +62,22 @@ pub fn cb_of_histogram(zero: u64, rest: &[u64]) -> f64 {
         .sum()
 }
 
-/// The two ways [`EgoKernel`] can count connectors.
+/// What one wedge-count step costs in bitset-sweep word steps, the price
+/// [`EgoKernel`] picks its evaluator by. A wedge step bumps a counter at
+/// a scattered slot; a sweep step streams one `AND`+popcount through
+/// registers. `repro ablate` prints both step counts and both evaluators'
+/// times on the egos this ratio was settled from.
+pub const WEDGE_STEP_COST: u64 = 3;
+
+/// The two ways [`EgoKernel`] can count connectors (see the module docs).
+/// Public, with the methods that take or return it, only so that
+/// `repro ablate` can time each evaluator on its own.
+#[doc(hidden)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Evaluator {
+pub enum Evaluator {
+    /// Popcount the rows of every non-adjacent pair.
     BitsetSweep,
+    /// Bump a counter per wedge; pairs without a connector are counted.
     WedgeCount,
 }
 
@@ -79,6 +98,7 @@ pub struct EgoKernel {
     hist: Vec<u64>,
     /// Wedge counter, all zero between rows.
     count: Vec<u32>,
+    /// The wedge count's first-touched slots, `d` of them preallocated.
     touched: Vec<u32>,
     /// Bitset rows, `⌈d/64⌉` words each.
     bits: Vec<u64>,
@@ -97,7 +117,7 @@ impl EgoKernel {
     /// Exact `CB(p)`.
     pub fn score<V: EgoView + ?Sized>(&mut self, g: &V, p: VertexId) -> f64 {
         self.build_rows(g, p);
-        self.evaluate(None)
+        self.evaluate(self.choice())
     }
 
     /// Sorted `N(p)` of the ego last scored.
@@ -117,7 +137,10 @@ impl EgoKernel {
         self.flat.len() / 2
     }
 
-    fn build_rows<V: EgoView + ?Sized>(&mut self, g: &V, p: VertexId) {
+    /// Builds ego `p`'s rows without scoring them; [`Self::score`] is
+    /// this plus [`Self::evaluate`] by [`Self::choice`].
+    #[doc(hidden)]
+    pub fn build_rows<V: EgoView + ?Sized>(&mut self, g: &V, p: VertexId) {
         let nbrs = &mut self.nbrs;
         nbrs.clear();
         g.for_each_neighbor(p, &mut |v| nbrs.push(v));
@@ -142,9 +165,10 @@ impl EgoKernel {
         }
     }
 
-    /// Step counts of the two evaluators on the current rows (see the
-    /// module docs).
-    fn costs(&self) -> (u64, u64) {
+    /// Step counts `(sweep, wedge)` of the two evaluators on the current
+    /// rows (see the module docs).
+    #[doc(hidden)]
+    pub fn costs(&self) -> (u64, u64) {
         let d = self.nbrs.len() as u64;
         let words = d.div_ceil(64);
         let non_adjacent = d * d.saturating_sub(1) / 2 - self.ego_edges() as u64;
@@ -160,32 +184,38 @@ impl EgoKernel {
         (sweep, wedge)
     }
 
-    /// `CB` of the current rows, by `force` or else by the cheaper
-    /// evaluator.
-    fn evaluate(&mut self, force: Option<Evaluator>) -> f64 {
+    /// The cheaper evaluator on the current rows, a wedge step priced at
+    /// [`WEDGE_STEP_COST`] sweep steps.
+    #[doc(hidden)]
+    pub fn choice(&self) -> Evaluator {
+        let (sweep, wedge) = self.costs();
+        if wedge.saturating_mul(WEDGE_STEP_COST) < sweep {
+            Evaluator::WedgeCount
+        } else {
+            Evaluator::BitsetSweep
+        }
+    }
+
+    /// `CB` of the rows [`Self::build_rows`] last built, by the evaluator
+    /// `by`.
+    #[doc(hidden)]
+    pub fn evaluate(&mut self, by: Evaluator) -> f64 {
         let d = self.nbrs.len();
         if d < 2 {
             return 0.0;
         }
-        let which = force.unwrap_or_else(|| {
-            let (sweep, wedge) = self.costs();
-            if wedge < sweep {
-                Evaluator::WedgeCount
-            } else {
-                Evaluator::BitsetSweep
-            }
-        });
         self.hist.clear();
         self.hist.resize(d - 1, 0);
-        match which {
-            Evaluator::BitsetSweep => self.bitset_sweep(),
+        match by {
+            Evaluator::BitsetSweep => self.bitset_sweep(tally),
             Evaluator::WedgeCount => self.wedge_count(),
         }
         cb_of_histogram(self.hist[0], &self.hist[1..])
     }
 
-    /// Tallies every non-adjacent pair by its popcounted connectors.
-    fn bitset_sweep(&mut self) {
+    /// Tallies every non-adjacent pair by its popcounted connectors, with
+    /// `tally_with` doing the counting.
+    fn bitset_sweep(&mut self, tally_with: fn(&[u64], usize, &mut [u64])) {
         let d = self.nbrs.len();
         let words = d.div_ceil(64);
         self.bits.clear();
@@ -196,21 +226,7 @@ impl EgoKernel {
                 row[y as usize >> 6] |= 1u64 << (y & 63);
             }
         }
-        for x in 0..d {
-            let row_x = &self.bits[x * words..(x + 1) * words];
-            for y in x + 1..d {
-                if row_x[y >> 6] & (1u64 << (y & 63)) != 0 {
-                    continue;
-                }
-                let row_y = &self.bits[y * words..(y + 1) * words];
-                let c: u32 = row_x
-                    .iter()
-                    .zip(row_y)
-                    .map(|(a, b)| (a & b).count_ones())
-                    .sum();
-                self.hist[c as usize] += 1;
-            }
-        }
+        tally_with(&self.bits, words, &mut self.hist);
     }
 
     /// Tallies the pairs with connectors by wedge counting; the rest go to
@@ -228,37 +244,130 @@ impl EgoKernel {
         let row = |a: usize| &flat[off[a]..off[a + 1]];
         count.clear();
         count.resize(d, 0);
+        // At most `d − 1` slots are kept per row, so `d` slots also hold
+        // the one written past the last kept.
+        touched.clear();
+        touched.resize(d, 0);
         let mut with_connectors = 0u64;
         for x in 0..d {
             let row_x = row(x);
             for &y in row_x {
                 count[y as usize] = ADJACENT;
             }
-            touched.clear();
+            let mut len = 0;
             for &a in row_x {
                 // Rows ascend, so the `y > x` suffix is read from the back.
                 for &y in row(a as usize).iter().rev() {
                     if y as usize <= x {
                         break;
                     }
-                    let slot = &mut count[y as usize];
-                    if *slot == 0 {
-                        touched.push(y);
-                    }
-                    *slot += 1;
+                    // Always written, kept only on the slot's first bump.
+                    touched[len] = y;
+                    len += usize::from(count[y as usize] == 0);
+                    count[y as usize] += 1;
                 }
             }
-            for &y in touched.iter() {
+            for &y in &touched[..len] {
                 hist[count[y as usize] as usize] += 1;
                 count[y as usize] = 0;
             }
-            with_connectors += touched.len() as u64;
+            with_connectors += len as u64;
             for &y in row_x {
                 count[y as usize] = 0;
             }
         }
         let pairs = (d * (d - 1) / 2) as u64;
         hist[0] = pairs - (flat.len() / 2) as u64 - with_connectors;
+    }
+}
+
+/// [`tally_portable`], in its POPCNT copy where the CPU has the
+/// instruction.
+fn tally(bits: &[u64], words: usize, hist: &mut [u64]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("popcnt") {
+        // SAFETY: `tally_popcnt` only needs POPCNT, which this CPU was
+        // just found to support.
+        return unsafe { tally_popcnt(bits, words, hist) };
+    }
+    tally_portable(bits, words, hist);
+}
+
+/// Counts every non-adjacent pair of the rows in `bits`, `words` words
+/// each, into `hist` by its connectors. Compiled for the baseline CPU.
+fn tally_portable(bits: &[u64], words: usize, hist: &mut [u64]) {
+    tally_by_width(bits, words, hist);
+}
+
+/// [`tally_portable`] compiled with POPCNT, so each word's `count_ones`
+/// is one instruction instead of a bit-twiddling sequence.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "popcnt")]
+fn tally_popcnt(bits: &[u64], words: usize, hist: &mut [u64]) {
+    tally_by_width(bits, words, hist);
+}
+
+/// Dispatches on the row width, so rows of up to 8 words are fixed-size
+/// arrays the compiler unrolls. Inlined into each caller, so it takes the
+/// caller's target features.
+#[inline(always)]
+fn tally_by_width(bits: &[u64], words: usize, hist: &mut [u64]) {
+    match words {
+        1 => tally_fixed::<1>(bits, hist),
+        2 => tally_fixed::<2>(bits, hist),
+        3 => tally_fixed::<3>(bits, hist),
+        4 => tally_fixed::<4>(bits, hist),
+        5 => tally_fixed::<5>(bits, hist),
+        6 => tally_fixed::<6>(bits, hist),
+        7 => tally_fixed::<7>(bits, hist),
+        8 => tally_fixed::<8>(bits, hist),
+        _ => tally_rows(hist, bits.len() / words, words, |x| {
+            &bits[x * words..(x + 1) * words]
+        }),
+    }
+}
+
+/// Rows of `W` words as `[u64; W]`.
+#[inline(always)]
+fn tally_fixed<const W: usize>(bits: &[u64], hist: &mut [u64]) {
+    let (rows, _) = bits.as_chunks::<W>();
+    tally_rows(hist, rows.len(), W, |x| &rows[x]);
+}
+
+/// The sweep over `d` rows of `words` words, row `x` read as `row(x)`:
+/// the set bits of row `x`'s complement past `x` are its non-adjacent
+/// pairs `{x, y}`, each tallied by its popcounted connectors.
+#[inline(always)]
+fn tally_rows<'a, R: AsRef<[u64]> + ?Sized + 'a>(
+    hist: &mut [u64],
+    d: usize,
+    words: usize,
+    row: impl Fn(usize) -> &'a R,
+) {
+    // The last word's bits at `d` and past it name no neighbour.
+    let tail = u64::MAX >> (words * 64 - d);
+    for x in 0..d {
+        let row_x = row(x).as_ref();
+        let first = (x + 1) / 64;
+        for (i, &word) in row_x.iter().enumerate().skip(first) {
+            let mut apart = !word;
+            if i == first {
+                apart &= u64::MAX << ((x + 1) % 64);
+            }
+            if i == words - 1 {
+                apart &= tail;
+            }
+            while apart != 0 {
+                let y = i * 64 + apart.trailing_zeros() as usize;
+                apart &= apart - 1;
+                let connectors: u32 = row_x
+                    .iter()
+                    .zip(row(y).as_ref())
+                    .map(|(a, b)| (a & b).count_ones())
+                    .sum();
+                hist[connectors as usize] += 1;
+            }
+        }
     }
 }
 
@@ -345,30 +454,33 @@ mod tests {
     use egobtw_gen::{classic, gnp, toy};
     use egobtw_graph::{DynGraph, HybridConfig};
 
-    fn assert_close(a: f64, b: f64, what: &str) {
-        assert!(
-            (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0),
-            "{what}: {a} vs {b}"
-        );
-    }
-
-    /// Both forced evaluators and the automatic choice agree bit for bit,
-    /// and match the reference oracle, on every vertex of `g`.
+    /// Both forced evaluators and the automatic choice agree bit for bit
+    /// with each other and with the reference oracle, on every vertex of
+    /// `g`.
     fn check_evaluators<V: EgoView + ?Sized>(g: &V) {
         let mut k = EgoKernel::new();
         for p in 0..g.n_vertices() as VertexId {
             k.build_rows(g, p);
-            let sweep = k.evaluate(Some(Evaluator::BitsetSweep));
-            let wedge = k.evaluate(Some(Evaluator::WedgeCount));
+            let sweep = k.evaluate(Evaluator::BitsetSweep);
+            let wedge = k.evaluate(Evaluator::WedgeCount);
             let auto = k.score(g, p);
+            let reference = ego_betweenness_reference(g, p);
             assert_eq!(sweep.to_bits(), wedge.to_bits(), "vertex {p}");
             assert_eq!(sweep.to_bits(), auto.to_bits(), "vertex {p}");
-            assert_close(
-                sweep,
-                ego_betweenness_reference(g, p),
-                &format!("vertex {p}"),
-            );
+            assert_eq!(sweep.to_bits(), reference.to_bits(), "vertex {p}");
         }
+    }
+
+    /// The bitset sweep's histogram on the rows `k` holds, from the
+    /// dispatched tally (POPCNT where the CPU has it) and from the
+    /// portable one, which must agree.
+    fn sweep_histogram(k: &mut EgoKernel) -> Vec<u64> {
+        k.evaluate(Evaluator::BitsetSweep);
+        let dispatched = k.hist.clone();
+        k.hist.fill(0);
+        k.bitset_sweep(tally_portable);
+        assert_eq!(k.hist, dispatched, "portable and dispatched tallies");
+        dispatched
     }
 
     #[test]
@@ -391,21 +503,67 @@ mod tests {
     }
 
     #[test]
-    fn evaluators_cross_word_boundaries() {
-        for d in [63usize, 64, 65, 130] {
-            let star = classic::star(d + 1);
-            check_evaluators(&star);
+    fn portable_tally_matches_dispatched_on_hubs() {
+        for seed in 0..3 {
+            let g = egobtw_gen::rmat(10, 4, egobtw_gen::rmat::RmatParams::skewed(), seed);
             let mut k = EgoKernel::new();
-            assert_eq!(k.score(&star, 0), (d * (d - 1) / 2) as f64, "star d={d}");
+            let mut hubs = 0;
+            for p in g.vertices().filter(|&p| g.hub_bitmap(p).is_some()) {
+                k.build_rows(&g, p);
+                let hist = sweep_histogram(&mut k);
+                let d = g.degree(p);
+                assert_eq!(
+                    hist.iter().sum::<u64>(),
+                    (d * (d - 1) / 2 - k.ego_edges()) as u64,
+                    "seed {seed}, hub {p}: every non-adjacent pair tallied once"
+                );
+                hubs += 1;
+            }
+            assert!(hubs > 0, "seed {seed}: no hubs");
+        }
+    }
+
+    #[test]
+    fn evaluators_cross_word_boundaries() {
+        // Every specialised row width (1..=8 words) and the slice loop
+        // past it, on both sides of each word boundary.
+        let widths = [
+            63usize, 64, 65, 127, 128, 129, 255, 256, 257, 511, 512, 513, 600,
+        ];
+        let mut k = EgoKernel::new();
+        for d in widths {
+            // The centre's score by the sweep (portable and dispatched),
+            // by the automatic choice and, where its cubic cost stays
+            // small, by the wedge count; all must equal `want` in bits.
+            let mut check = |g: &CsrGraph, want: f64, wedge: bool, what: &str| {
+                k.build_rows(g, 0);
+                sweep_histogram(&mut k);
+                let sweep = k.evaluate(Evaluator::BitsetSweep);
+                assert_eq!(sweep.to_bits(), want.to_bits(), "{what} d={d}: sweep");
+                if wedge {
+                    let by_wedge = k.evaluate(Evaluator::WedgeCount);
+                    assert_eq!(by_wedge.to_bits(), want.to_bits(), "{what} d={d}: wedge");
+                }
+                let auto = k.score(g, 0);
+                assert_eq!(auto.to_bits(), want.to_bits(), "{what} d={d}: auto");
+            };
+            // A star's leaves are pairwise apart with no connector.
+            check(
+                &classic::star(d + 1),
+                (d * (d - 1) / 2) as f64,
+                true,
+                "star",
+            );
+            // A complete ego has no non-adjacent pair: an empty sum.
             let complete = classic::complete(d + 1);
-            assert_eq!(k.score(&complete, 0), 0.0, "complete d={d}");
-            // A complete ego with one edge removed leaves one pair with
-            // d − 2 connectors: the histogram's last slot.
+            check(&complete, -0.0, d < 256, "complete");
+            // One edge removed leaves one pair with d − 2 connectors: the
+            // histogram's last slot.
             let dropped: Vec<_> = complete.edges().filter(|&e| e != (1, 2)).collect();
             let g = CsrGraph::from_edges(d + 1, &dropped);
-            check_evaluators(&g);
-            assert_close(k.score(&g, 0), 1.0 / (d - 1) as f64, "near-complete");
+            check(&g, 1.0 / (d - 1) as f64, d < 256, "near-complete");
         }
+        check_evaluators(&classic::star(66));
     }
 
     #[test]
@@ -417,16 +575,31 @@ mod tests {
 
     #[test]
     fn cost_model_picks_each_evaluator() {
+        let picks = |g: &CsrGraph, p: VertexId| {
+            let mut k = EgoKernel::new();
+            k.build_rows(g, p);
+            k.choice()
+        };
         // A star's leaves share nothing: no wedges, so the count wins.
-        let mut k = EgoKernel::new();
-        k.build_rows(&classic::star(40), 0);
-        let (sweep, wedge) = k.costs();
-        assert!(wedge < sweep, "star: {wedge} vs {sweep}");
+        assert_eq!(picks(&classic::star(40), 0), Evaluator::WedgeCount);
+        // So do a preferential-attachment hub's neighbours, mostly.
+        let ba = egobtw_gen::barabasi_albert(20_000, 5, 1);
+        let top = ba.vertices().max_by_key(|&v| ba.degree(v)).unwrap();
+        assert_eq!(picks(&ba, top), Evaluator::WedgeCount, "BA hub");
         // A complete ego has no non-adjacent pair: the sweep costs only
         // its set-up, the wedge count a cubic.
-        k.build_rows(&classic::complete(40), 0);
-        let (sweep, wedge) = k.costs();
-        assert!(sweep < wedge, "complete: {sweep} vs {wedge}");
+        assert_eq!(picks(&classic::complete(40), 0), Evaluator::BitsetSweep);
+        // The `static-skewed` benchmark graph's hubs of degree near 150
+        // share enough neighbours that the sweep is the faster one there.
+        let skewed = egobtw_gen::rmat(11, 3, egobtw_gen::rmat::RmatParams::skewed(), 0xEB02);
+        let mid_hubs: Vec<VertexId> = skewed
+            .vertices()
+            .filter(|&v| (140..=170).contains(&skewed.degree(v)))
+            .collect();
+        assert!(mid_hubs.len() >= 5, "{} hubs near d = 150", mid_hubs.len());
+        for p in mid_hubs {
+            assert_eq!(picks(&skewed, p), Evaluator::BitsetSweep, "hub {p}");
+        }
     }
 
     /// Completing vertices in `visit` order (OptBSearch style) yields the
@@ -436,7 +609,8 @@ mod tests {
         let mut kernel = EgoKernel::new();
         for u in visit {
             let cb = done.complete(&mut kernel, g, u);
-            assert_close(cb, ego_betweenness_reference(g, u), &format!("vertex {u}"));
+            let reference = ego_betweenness_reference(g, u);
+            assert_eq!(cb.to_bits(), reference.to_bits(), "vertex {u}");
         }
     }
 
@@ -460,7 +634,8 @@ mod tests {
         done.complete(&mut kernel, &g, 0);
         for u in 0..g.n() as VertexId {
             let cb = done.complete(&mut kernel, &g, u);
-            assert_close(cb, ego_betweenness_reference(&g, u), &format!("v{u}"));
+            let reference = ego_betweenness_reference(&g, u);
+            assert_eq!(cb.to_bits(), reference.to_bits(), "v{u}");
         }
     }
 

@@ -115,28 +115,43 @@ pub fn ego_betweenness_of<V: EgoView + ?Sized>(g: &V, p: VertexId) -> f64 {
     KERNEL.with(|k| k.borrow_mut().score(g, p))
 }
 
-/// Dead-simple reference implementation (hash membership, no bitsets).
-/// Quadratic-times-degree; used only to cross-check
+/// Dead-simple reference implementation (edge probes, no bitsets, no
+/// rows). Quadratic-times-degree; used only to cross-check
 /// [`ego_betweenness_of`] in tests.
+///
+/// It tallies the non-adjacent neighbour pairs by connector count and
+/// sums `count/(c+1)` over the non-empty counts in ascending `c`, the
+/// order every exact engine sums in, so it agrees with them bit for bit:
+/// `+0.0` below degree 2, and `-0.0`, the sign of an empty float sum,
+/// for an ego with no non-adjacent pair. The sum is written out here
+/// rather than shared with the kernel.
 pub fn ego_betweenness_reference<V: EgoView + ?Sized>(g: &V, p: VertexId) -> f64 {
     let mut nbrs: Vec<VertexId> = Vec::new();
     g.for_each_neighbor(p, &mut |v| nbrs.push(v));
     nbrs.sort_unstable();
-    let in_ego: egobtw_graph::FxHashSet<VertexId> = nbrs.iter().copied().collect();
-    let mut cb = 0.0;
+    if nbrs.len() < 2 {
+        return 0.0;
+    }
+    // pairs_with[c]: non-adjacent pairs with c connectors (c ≤ d − 2).
+    let mut pairs_with = vec![0u64; nbrs.len() - 1];
     for (a, &u) in nbrs.iter().enumerate() {
         for &v in nbrs.iter().skip(a + 1) {
             if g.has_edge_between(u, v) {
                 continue;
             }
-            let mut connectors = 0u32;
+            let mut connectors = 0usize;
             for &w in &nbrs {
                 if w != u && w != v && g.has_edge_between(w, u) && g.has_edge_between(w, v) {
                     connectors += 1;
                 }
             }
-            debug_assert!(in_ego.contains(&u));
-            cb += 1.0 / (f64::from(connectors) + 1.0);
+            pairs_with[connectors] += 1;
+        }
+    }
+    let mut cb = -0.0;
+    for (c, &pairs) in pairs_with.iter().enumerate() {
+        if pairs != 0 {
+            cb += pairs as f64 / (c + 1) as f64;
         }
     }
     cb
@@ -268,6 +283,25 @@ mod tests {
                 assert!(
                     (fast - slow).abs() < 1e-9,
                     "trial {trial}, vertex {v}: {fast} vs {slow}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn reference_equals_compute_all_naive_in_bits_on_hub_graphs() {
+        let graphs = (0..3)
+            .map(|seed| egobtw_gen::rmat(9, 4, egobtw_gen::rmat::RmatParams::skewed(), seed))
+            .chain((0..2).map(|seed| egobtw_gen::barabasi_albert(1_000, 4, seed)));
+        for (i, g) in graphs.enumerate() {
+            let scores = compute_all_naive(&g);
+            for v in g.vertices() {
+                let reference = ego_betweenness_reference(&g, v);
+                assert_eq!(
+                    scores[v as usize].to_bits(),
+                    reference.to_bits(),
+                    "graph {i}, vertex {v}: {} vs {reference}",
+                    scores[v as usize]
                 );
             }
         }

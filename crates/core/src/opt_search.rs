@@ -266,11 +266,14 @@ impl Search<'_> {
 }
 
 /// Neighbour pairs in a graph's largest ego below which a search starts
-/// no helper. Starting and joining one costs about 35 µs, what computing
-/// an ego of about this many pairs (degree 128) takes at ~4.5 ns a pair
-/// (2-vCPU x86-64 VM), so a search of small egos never pays for a thread.
-/// A probe estimate: no benchmark workload runs an unpinned search on
-/// graphs this small, so the value is not tuned end to end.
+/// no helper. Starting and joining one costs about 35 µs. The value was
+/// set when an ego of this many pairs (degree 128) took about that long,
+/// at ~4.5 ns a pair; the width-specialised POPCNT sweep now scores the
+/// `static-skewed` graph's degree-143–163 hubs at about 2.8 ns a pair,
+/// rows included (2-vCPU x86-64 VM), so the break-even ego is larger.
+/// A probe estimate kept as it was: no benchmark workload runs an
+/// unpinned search on graphs this small, so the value is not tuned end
+/// to end.
 const SPAWN_MIN_PAIRS: f64 = 8192.0;
 
 /// Helper threads for a search on the calling thread: one per other CPU

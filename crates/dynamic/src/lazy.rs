@@ -22,6 +22,7 @@
 use egobtw_core::naive::ego_betweenness_of;
 use egobtw_core::topk::OrdF64;
 use egobtw_graph::{CsrGraph, DynGraph, VertexId};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Counters distinguishing lazy skips from forced recomputations.
@@ -48,6 +49,14 @@ pub struct TopKPeek {
     pub stale_members: usize,
 }
 
+/// A vertex's place in the ranking `topk_from_scores` uses: higher value
+/// first, then smaller id. Greater is better.
+type Rank = (OrdF64, Reverse<VertexId>);
+
+fn rank(val: f64, v: VertexId) -> Rank {
+    (OrdF64(val), Reverse(v))
+}
+
 /// Lazily maintained top-k ego-betweenness set.
 pub struct LazyTopK {
     g: DynGraph,
@@ -56,9 +65,10 @@ pub struct LazyTopK {
     stale: Vec<bool>,
     in_r: Vec<bool>,
     r: Vec<VertexId>,
-    /// Lazy max-heap over outsiders: entries `(val-at-push, v)`; an entry
-    /// is live iff it matches `val[v]` and `v ∉ R`.
-    heap: BinaryHeap<(OrdF64, VertexId)>,
+    /// Lazy max-heap over outsiders, best first in the rank order
+    /// [`rank`] gives: entries `(val-at-push, v)`; an entry is live iff it
+    /// matches `val[v]` and `v ∉ R`.
+    heap: BinaryHeap<Rank>,
     /// Common-neighbor scratch reused across updates (capacity survives,
     /// contents do not).
     scratch_common: Vec<VertexId>,
@@ -82,7 +92,7 @@ impl LazyTopK {
         let mut heap = BinaryHeap::with_capacity(n.saturating_sub(k));
         for v in 0..n as VertexId {
             if !in_r[v as usize] {
-                heap.push((OrdF64(cb[v as usize]), v));
+                heap.push(rank(cb[v as usize], v));
             }
         }
         LazyTopK {
@@ -150,7 +160,7 @@ impl LazyTopK {
             self.stale[v as usize] = false;
             self.stats.recomputations += 1;
             if !self.in_r[v as usize] {
-                self.heap.push((OrdF64(self.val[v as usize]), v));
+                self.heap.push(rank(self.val[v as usize], v));
             }
         }
     }
@@ -167,18 +177,20 @@ impl LazyTopK {
     /// Pops the outsider with the highest exact `CB` (recomputing stale
     /// candidates it encounters), pushing it back for future queries.
     fn best_outsider(&mut self) -> Option<(VertexId, f64)> {
-        while let Some((OrdF64(b), v)) = self.heap.pop() {
-            if self.in_r[v as usize] || b != self.val[v as usize] {
+        while let Some((OrdF64(b), Reverse(v))) = self.heap.pop() {
+            // Bits, not `==`: a score moving between `+0.0` and `-0.0` (a
+            // clique ego's empty sum) must leave its old entry dead.
+            if self.in_r[v as usize] || b.to_bits() != self.val[v as usize].to_bits() {
                 continue; // stale heap entry
             }
             if self.stale[v as usize] {
                 self.val[v as usize] = ego_betweenness_of(&self.g, v);
                 self.stale[v as usize] = false;
                 self.stats.recomputations += 1;
-                self.heap.push((OrdF64(self.val[v as usize]), v));
+                self.heap.push(rank(self.val[v as usize], v));
                 continue; // re-pop with the refreshed key
             }
-            self.heap.push((OrdF64(b), v));
+            self.heap.push(rank(b, v));
             return Some((v, b));
         }
         None
@@ -193,31 +205,32 @@ impl LazyTopK {
             };
             self.promote(o, vo);
         }
-        // Swap while the best outsider beats the weakest member.
+        // Swap while the best outsider outranks the weakest member: the
+        // one with the lowest value and, among those, the largest id.
         while let Some((o, vo)) = self.best_outsider() {
             let Some((ri, rv)) = self
                 .r
                 .iter()
                 .enumerate()
                 .map(|(i, &v)| (i, v))
-                .min_by(|a, b| self.val[a.1 as usize].total_cmp(&self.val[b.1 as usize]))
+                .min_by_key(|&(_, v)| rank(self.val[v as usize], v))
             else {
                 break;
             };
             let rval = self.val[rv as usize];
-            if vo <= rval {
-                break; // vo ≤ val(r) ≤ CB(r) for every member (I3)
+            if rank(vo, o) < rank(rval, rv) {
+                break; // ranked below val(r) ≤ CB(r), so below r (I3)
             }
             if self.stale[rv as usize] {
                 // The weakest member's value is a lower bound; sharpen it
-                // before deciding the swap.
+                // before deciding the swap, on a tie too.
                 self.freshen(rv);
                 continue;
             }
             // Exact comparison: outsider wins — swap.
             self.r.swap_remove(ri);
             self.in_r[rv as usize] = false;
-            self.heap.push((OrdF64(rval), rv));
+            self.heap.push(rank(rval, rv));
             self.promote(o, vo);
             self.stats.swaps += 1;
         }
@@ -231,11 +244,17 @@ impl LazyTopK {
         self.r.push(v);
     }
 
+    /// `d(d−1)/2`, counted in integers so that degree 0 gives `+0.0`, the
+    /// score the kernel gives it, and not `-0.0`, which ranks below it.
+    fn degree_bound(&self, w: VertexId) -> f64 {
+        let d = self.g.degree(w);
+        (d * d.saturating_sub(1) / 2) as f64
+    }
+
     /// An endpoint's `CB` moved in an unknown direction; its degree bound
     /// is `ub`.
     fn handle_endpoint(&mut self, w: VertexId) {
-        let d = self.g.degree(w) as f64;
-        let ub = d * (d - 1.0) / 2.0;
+        let ub = self.degree_bound(w);
         if self.in_r[w as usize] {
             self.stale[w as usize] = true;
             self.freshen(w); // members must stay comparable
@@ -247,7 +266,7 @@ impl LazyTopK {
                 // (I2) without recomputation.
                 self.val[w as usize] = ub;
                 self.stale[w as usize] = true;
-                self.heap.push((OrdF64(ub), w));
+                self.heap.push(rank(ub, w));
                 self.stats.lazy_skips += 1;
             }
             _ => {
@@ -305,13 +324,12 @@ impl LazyTopK {
                 // Non-decreasing: old val may under-bound. Substitute the
                 // degree bound if that cannot reach the top-k; else
                 // recompute.
-                let d = self.g.degree(w) as f64;
-                let ub = d * (d - 1.0) / 2.0;
+                let ub = self.degree_bound(w);
                 match self.min_r_val() {
                     Some(min_r) if self.r.len() >= self.k && ub <= min_r => {
                         self.val[w as usize] = ub;
                         self.stale[w as usize] = true;
-                        self.heap.push((OrdF64(ub), w));
+                        self.heap.push(rank(ub, w));
                         self.stats.lazy_skips += 1;
                     }
                     _ => {
@@ -330,28 +348,52 @@ impl LazyTopK {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use egobtw_core::compute_all_naive;
+    use egobtw_core::{compute_all_naive, topk_from_scores};
     use egobtw_gen::{classic, gnp, toy};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Oracle check: the maintained top-k value multiset equals the true
-    /// one (ties make the vertex set ambiguous, values are not).
+    /// Oracle check: the maintained top-k is `topk_from_scores` of the
+    /// naive scores, ids and bits, ties broken toward the smaller id.
     fn assert_topk_correct(lazy: &mut LazyTopK, k: usize) {
         let g = lazy.graph().to_csr();
-        let mut truth = compute_all_naive(&g);
-        truth.sort_by(|a, b| b.total_cmp(a));
+        let truth = topk_from_scores(&compute_all_naive(&g), k);
         let got = lazy.top_k();
         assert_eq!(got.len(), k.min(g.n()));
-        for (rank, &(v, cb)) in got.iter().enumerate() {
-            let direct = egobtw_core::naive::ego_betweenness_of(&g, v);
-            assert!((cb - direct).abs() < 1e-9, "reported value for {v} stale");
-            assert!(
-                (cb - truth[rank]).abs() < 1e-9,
-                "rank {rank}: {cb} vs oracle {}",
-                truth[rank]
+        for (rank, (&(v, cb), &(tv, tcb))) in got.iter().zip(&truth).enumerate() {
+            assert_eq!(
+                (v, cb.to_bits()),
+                (tv, tcb.to_bits()),
+                "rank {rank}: ({v}, {cb}) vs oracle ({tv}, {tcb})"
             );
         }
+    }
+
+    #[test]
+    fn ties_keep_the_smaller_id() {
+        // A 6-leaf star plus isolated vertex 7, k = 3: the star's centre
+        // and then leaves tied at 0, so the set is {0, 1, 2}.
+        let edges: Vec<(VertexId, VertexId)> = (1..=6).map(|v| (0, v)).collect();
+        let mut lazy = LazyTopK::new(&CsrGraph::from_edges(8, &edges), 3);
+        let ids = |lazy: &mut LazyTopK| lazy.top_k().iter().map(|e| e.0).collect::<Vec<_>>();
+        assert_eq!(ids(&mut lazy), [0, 1, 2]);
+        // Leaf 5 rises to 1; the last slot goes to the smallest of the
+        // leaves still tied at 0.
+        lazy.insert_edge(5, 7);
+        assert_eq!(ids(&mut lazy), [0, 5, 1]);
+        assert_topk_correct(&mut lazy, 3);
+        // 6 and 7 rise to 1 too: of 5, 6 and 7, the two smallest ids stay.
+        lazy.insert_edge(6, 7);
+        assert_eq!(ids(&mut lazy), [0, 5, 6]);
+        assert_topk_correct(&mut lazy, 3);
+        // Leaf 1's and 2's egos become cliques: an empty sum, `-0.0`,
+        // which ranks below the leaves at `+0.0`.
+        lazy.insert_edge(1, 2);
+        assert_topk_correct(&mut lazy, 3);
+        lazy.delete_edge(5, 7);
+        lazy.delete_edge(6, 7);
+        assert_eq!(ids(&mut lazy), [0, 3, 4]);
+        assert_topk_correct(&mut lazy, 3);
     }
 
     #[test]

@@ -185,29 +185,7 @@ impl HubBitmaps {
     /// Picks the threshold and packs the rows for an already-built CSR.
     fn build(offsets: &[usize], adj: &[VertexId], cfg: &HybridConfig) -> Self {
         let threshold = hub_threshold_for(offsets, cfg);
-        if threshold == usize::MAX {
-            return HubBitmaps::none(*cfg);
-        }
-        let n = offsets.len() - 1;
-        let words_per_row = n.div_ceil(64);
-        let mut row_of: Arc<[u32]> = std::iter::repeat_n(u32::MAX, n).collect();
-        let mut rows = Vec::new();
-        {
-            let row_of = Arc::get_mut(&mut row_of).expect("unshared");
-            for u in 0..n {
-                if offsets[u + 1] - offsets[u] >= threshold {
-                    row_of[u] = rows.len() as u32;
-                    rows.push(packed_row(&adj[offsets[u]..offsets[u + 1]], words_per_row));
-                }
-            }
-        }
-        HubBitmaps {
-            cfg: *cfg,
-            threshold,
-            words_per_row,
-            row_of,
-            rows: rows.into(),
-        }
+        HubBitmaps::none(*cfg).repacked(offsets, adj, &[], threshold)
     }
 
     /// The threshold [`hub_threshold_for`] picks for a CSR that differs
@@ -241,7 +219,7 @@ impl HubBitmaps {
     /// When the threshold holds and no patched vertex crosses it, the hub
     /// set is unchanged: the row pointers are copied, each patched hub
     /// gets a fresh row, and every other row is shared with `self`.
-    /// Otherwise everything is rebuilt under the stored policy.
+    /// Otherwise the hub set is re-decided in one pass ([`Self::repacked`]).
     fn patched(
         &self,
         offsets: &[usize],
@@ -254,7 +232,7 @@ impl HubBitmaps {
                 .iter()
                 .all(|&(u, row)| (row.len() >= threshold) == self.row(u).is_some());
         if !same_hubs {
-            return HubBitmaps::build(offsets, adj, &self.cfg);
+            return self.repacked(offsets, adj, rows, threshold);
         }
         let mut hubs = self.clone();
         if rows.iter().any(|&(u, _)| self.slot(u).is_some()) {
@@ -268,6 +246,49 @@ impl HubBitmaps {
             hubs.rows = hub_rows;
         }
         hubs
+    }
+
+    /// The hub set at `threshold` for a CSR that differs from this one's
+    /// only in the adjacency of the `rows` vertices, one row per hub in
+    /// ascending vertex order: `row_of` is rebuilt in one pass over the
+    /// degrees, a hub outside `rows` that already had a row shares it
+    /// with `self`, every other hub gets a fresh row, and the rows of
+    /// vertices below `threshold` are dropped. On [`Self::none`] with no
+    /// `rows` this packs every hub afresh, which is [`Self::build`].
+    fn repacked(
+        &self,
+        offsets: &[usize],
+        adj: &[VertexId],
+        rows: &[(VertexId, &[VertexId])],
+        threshold: usize,
+    ) -> Self {
+        if threshold == usize::MAX {
+            return HubBitmaps::none(self.cfg);
+        }
+        let n = offsets.len() - 1;
+        let words_per_row = n.div_ceil(64);
+        let mut row_of: Arc<[u32]> = std::iter::repeat_n(u32::MAX, n).collect();
+        let mut hub_rows = Vec::new();
+        {
+            let row_of = Arc::get_mut(&mut row_of).expect("unshared");
+            let untouched = |u| rows.binary_search_by_key(&u, |&(v, _)| v).is_err();
+            for u in 0..n {
+                if offsets[u + 1] - offsets[u] >= threshold {
+                    row_of[u] = hub_rows.len() as u32;
+                    hub_rows.push(match self.slot(u as VertexId) {
+                        Some(slot) if untouched(u as VertexId) => self.rows[slot].clone(),
+                        _ => packed_row(&adj[offsets[u]..offsets[u + 1]], words_per_row),
+                    });
+                }
+            }
+        }
+        HubBitmaps {
+            cfg: self.cfg,
+            threshold,
+            words_per_row,
+            row_of,
+            rows: hub_rows.into(),
+        }
     }
 
     /// The index of `u`'s row in `rows`, if it is a hub.
@@ -481,8 +502,9 @@ impl CsrGraph {
     /// `O(hubs)` pointer copies plus `O(n/64)` words per touched hub.
     /// While the threshold sits at the policy floor it is re-checked from
     /// the touched degrees alone. If the new degrees move the threshold or
-    /// a touched vertex crosses it, the bitmaps are rebuilt under the
-    /// policy this graph was built with. Panics if `rows` is unsorted or
+    /// a touched vertex crosses it, the hub set is re-decided under the
+    /// policy this graph was built with, in one `O(n)` pass that still
+    /// shares every untouched hub's row. Panics if `rows` is unsorted or
     /// out of range. The result equals
     /// [`CsrGraph::from_edges_with`] on the updated edge list under that
     /// policy.

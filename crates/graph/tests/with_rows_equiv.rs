@@ -6,7 +6,8 @@
 //! graphs, including threshold crossings in both directions, rows
 //! emptied to degree 0, and thresholds the memory budget sets above the
 //! policy floor. A patch must also share every untouched hub row with
-//! its parent and leave the parent as it was.
+//! its parent, across a threshold crossing too, and leave the parent as
+//! it was.
 
 use egobtw_gen::rmat::RmatParams;
 use egobtw_graph::{CsrGraph, HybridConfig, VertexId};
@@ -281,6 +282,56 @@ fn untouched_hub_rows_are_shared() {
     assert_ne!(Some(fresh_row), parent.hub_bitmap(hub), "new bits");
     assert!(parent == before, "the parent is unchanged");
     assert_eq!(parent.validate(), Ok(()));
+}
+
+/// Asserts that every hub of `parent` outside `touched` that is still a
+/// hub of `child` shares its row allocation with `parent`.
+fn assert_untouched_rows_shared(
+    parent: &CsrGraph,
+    child: &CsrGraph,
+    pairs: &[(VertexId, VertexId)],
+    ctx: &str,
+) {
+    let touched: BTreeSet<VertexId> = pairs.iter().flat_map(|&(u, v)| [u, v]).collect();
+    let mut shared = 0;
+    for u in parent.vertices().filter(|u| !touched.contains(u)) {
+        if let (Some(row), Some(kept)) = (parent.hub_bitmap(u), child.hub_bitmap(u)) {
+            assert_eq!(
+                row.as_ptr(),
+                kept.as_ptr(),
+                "{ctx}: hub {u}'s row is shared"
+            );
+            shared += 1;
+        }
+    }
+    assert!(shared > 0, "{ctx}: no untouched hub row to share");
+}
+
+#[test]
+fn crossing_shares_untouched_hub_rows() {
+    let cfg = HybridConfig::new();
+    for seed in 0..3u64 {
+        let g = egobtw_gen::rmat(9, 4, RmatParams::skewed(), seed);
+        let t = g.hub_threshold().expect("needs hubs");
+        let mut f = Flipper::new(g, cfg);
+        // The smallest hub crosses the threshold downwards, then back up;
+        // each patch re-decides the hub set and must match a fresh build
+        // (`flip` checks) while sharing every row it did not touch.
+        let u =
+            f.g.vertices()
+                .filter(|&u| f.is_hub(u))
+                .min_by_key(|&u| f.g.degree(u))
+                .unwrap();
+        let down = drop_edges(&f, u, f.g.degree(u) + 1 - t);
+        for (pairs, is_hub, dir) in [(&down, false, "down"), (&down, true, "up")] {
+            let parent = f.g.clone();
+            let ctx = format!("seed {seed}: hub {u} crosses {dir}");
+            f.flip(pairs, &ctx);
+            assert_eq!(f.is_hub(u), is_hub, "{ctx}");
+            assert_eq!(f.g.hub_threshold(), parent.hub_threshold(), "{ctx}");
+            assert_untouched_rows_shared(&parent, &f.g, pairs, &ctx);
+        }
+    }
 }
 
 #[test]
